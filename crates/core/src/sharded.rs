@@ -120,8 +120,9 @@ const SHARD_CHUNK: usize = 512;
 /// workers, which is pure overhead (one context-switch pair per chunk) when
 /// the host cannot run a worker beside the router. On single-core hosts
 /// everything ships at the fence instead; buffers grow past [`SHARD_CHUNK`]
-/// but are recycled with their capacity, so steady state stays
-/// allocation-free either way.
+/// but are recycled with their capacity. Either way the buffer population
+/// is bounded: fence-only shipping keeps exactly one buffer per shard, and
+/// mid-batch shipping adds at most the chunks one batch has in flight.
 fn stream_threshold() -> usize {
     match std::thread::available_parallelism() {
         Ok(cores) if cores.get() > 1 => SHARD_CHUNK,
@@ -643,7 +644,14 @@ impl ShardedDetector {
                 store,
             )))
         } else {
-            Pipeline::Threaded(Box::new(Threaded::new(n, granularity, mode, shards, store)))
+            Pipeline::Threaded(Box::new(Threaded::new(
+                n,
+                granularity,
+                mode,
+                shards,
+                store,
+                stream_threshold(),
+            )))
         };
         ShardedDetector {
             pipeline,
@@ -674,6 +682,7 @@ impl ShardedDetector {
                 mode,
                 shards,
                 store,
+                stream_threshold(),
             ))),
             log: VecSink::new(),
             last_error: None,
@@ -894,12 +903,15 @@ impl ReportSink for SkipSink<'_> {
 }
 
 impl Threaded {
+    /// `chunk` is the per-shard buffer length that triggers a mid-batch
+    /// ship; `usize::MAX` ships only at the fence.
     fn new(
         n: usize,
         granularity: Granularity,
         mode: HbMode,
         shards: usize,
         store: StoreConfig,
+        chunk: usize,
     ) -> Self {
         let (recycle_tx, recycle_rx) = channel();
         let workers = (0..shards)
@@ -940,7 +952,7 @@ impl Threaded {
             buffers: (0..shards)
                 .map(|_| Vec::with_capacity(SHARD_CHUNK))
                 .collect(),
-            chunk: stream_threshold(),
+            chunk,
             encoders: (0..shards).map(|_| ClockEncoder::new(n)).collect(),
             pool: Vec::new(),
             recycle_rx,
@@ -1199,10 +1211,16 @@ impl Threaded {
     /// mid-fence emits nothing: either the whole fence reaches the sink
     /// (and bumps [`Threaded::emitted`]) or none of it does and the
     /// supervisor's replay regenerates it.
+    ///
+    /// Buffers shipped here go out without a replacement; they are back on
+    /// the recycle channel before their shard's flush reply and are put
+    /// back in place once every reply is in. So every fence ends with every
+    /// buffer home, and a fence never allocates.
     fn fence(&mut self, sink: &mut dyn ReportSink) -> Result<usize, DetectError> {
         for shard in 0..self.workers.len() {
             if !self.buffers[shard].is_empty() {
-                self.ship(shard)?;
+                let items = std::mem::take(&mut self.buffers[shard]);
+                self.send_to(shard, ToShard::Items(items))?;
             }
             self.send_to(shard, ToShard::Flush)?;
         }
@@ -1213,6 +1231,12 @@ impl Threaded {
             self.shard_touched[shard] = reply.touched;
             if !reply.reports.is_empty() {
                 replies.push(reply.reports);
+            }
+        }
+        self.pool.extend(self.recycle_rx.try_iter());
+        for buf in &mut self.buffers {
+            if buf.capacity() == 0 {
+                *buf = self.pool.pop().unwrap_or_default();
             }
         }
         let merged = merge_sorted_reports(replies, sink);
@@ -1923,32 +1947,52 @@ mod tests {
         assert_eq!(ids, vec![0, 1, 2, 3, 4, 5]);
     }
 
+    /// A two-shard threaded detector whose mid-batch shipping threshold is
+    /// `chunk` regardless of the host's core count.
+    fn threaded_with_chunk(n: usize, chunk: usize) -> ShardedDetector {
+        ShardedDetector {
+            pipeline: Pipeline::Threaded(Box::new(Threaded::new(
+                n,
+                Granularity::WORD,
+                HbMode::Dual,
+                2,
+                StoreConfig::default(),
+                chunk,
+            ))),
+            log: VecSink::new(),
+            last_error: None,
+        }
+    }
+
+    /// Buffer census after a fence: every buffer is pooled or in place
+    /// (the fence got every shard's reply, so none is still in flight; any
+    /// left on the recycle channel is pooled first).
+    fn population(det: &mut ShardedDetector) -> usize {
+        let Pipeline::Threaded(t) = &mut det.pipeline else {
+            panic!("recycling test needs the threaded pipeline");
+        };
+        t.pool.extend(t.recycle_rx.try_iter());
+        t.pool.len() + t.buffers.len()
+    }
+
+    fn recycling_stream() -> Vec<MemOp> {
+        (0..100u64)
+            .map(|i| MemOp::Op(put(i, (i % 4) as usize, ((i + 1) % 4) as usize, 0)))
+            .collect()
+    }
+
     #[test]
     fn steady_state_recycles_transport_buffers() {
-        // Repeated sub-chunk batches ship only at the fence, where the
-        // previous fence's buffers are guaranteed back on the recycle
-        // channel (the worker returns a chunk before replying to the flush
-        // that follows it). The buffer population must therefore stop
-        // growing after the first batch: the steady state allocates no new
-        // transport buffers.
-        let n = 4;
-        let stream: Vec<MemOp> = (0..100u64)
-            .map(|i| MemOp::Op(put(i, (i % 4) as usize, ((i + 1) % 4) as usize, 0)))
-            .collect();
-        let mut det = ShardedDetector::new(n, Granularity::WORD, HbMode::Dual, 2);
-        // Census: every buffer is pooled, being filled, or in flight on the
-        // recycle channel (the fence already drained the shards).
-        fn population(det: &mut ShardedDetector) -> usize {
-            let Pipeline::Threaded(t) = &mut det.pipeline else {
-                panic!("recycling test needs the threaded pipeline");
-            };
-            while let Ok(buf) = t.recycle_rx.try_recv() {
-                t.pool.push(buf);
-            }
-            t.pool.len() + t.buffers.len()
-        }
-        det.observe_batch(&stream);
+        // Fence-only shipping: every buffer leaves at the fence and is
+        // back in place when the fence returns, so the population is one
+        // buffer per shard after every batch, on any core count.
+        let stream = recycling_stream();
+        let mut det = threaded_with_chunk(4, usize::MAX);
+        let expected =
+            ShardedDetector::new(4, Granularity::WORD, HbMode::Dual, 1).observe_batch(&stream);
+        assert_eq!(det.observe_batch(&stream), expected);
         let after_warmup = population(&mut det);
+        assert_eq!(after_warmup, 2, "one buffer per shard");
         for _ in 0..10 {
             det.observe_batch(&stream);
         }
@@ -1956,6 +2000,38 @@ mod tests {
         assert_eq!(
             after_steady, after_warmup,
             "steady state must allocate no new transport buffers"
+        );
+    }
+
+    #[test]
+    fn mid_batch_shipping_recycles_within_a_bound() {
+        // `SHARD_CHUNK`-style streaming with a tiny chunk: a mid-batch ship
+        // takes a pooled or returned buffer and allocates only when every
+        // spare is still in flight, so the population never exceeds one
+        // buffer per shard plus the chunks one batch ships.
+        let chunk = 8;
+        let stream = recycling_stream();
+        let mut det = threaded_with_chunk(4, chunk);
+        let mut inline = ShardedDetector::new(4, Granularity::WORD, HbMode::Dual, 1);
+        // Each put is two accesses; a shard ships at most once per `chunk`
+        // of them.
+        let bound = 2 + 2 * stream.len() / chunk;
+        let mut populations = Vec::new();
+        for _ in 0..10 {
+            assert_eq!(det.observe_batch(&stream), inline.observe_batch(&stream));
+            populations.push(population(&mut det));
+        }
+        assert!(
+            populations[0] > 2,
+            "the first mid-batch ship finds no spare and allocates: {populations:?}"
+        );
+        assert!(
+            populations.iter().all(|&p| p <= bound),
+            "population {populations:?} exceeds the in-flight bound {bound}"
+        );
+        assert!(
+            populations.windows(2).all(|w| w[0] <= w[1]),
+            "buffers are never lost: {populations:?}"
         );
     }
 

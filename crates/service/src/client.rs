@@ -1,10 +1,10 @@
 //! Blocking client handle for the detection service.
 //!
 //! [`ServiceClient`] wraps one *logical* session that may span several TCP
-//! connections: handshake on connect, one frame per event, and a final
-//! `Finish` → `Summary` exchange whose JSON is exactly the canonical
-//! `RaceSummary::to_json` bytes — callers compare it directly against an
-//! in-process run for parity checks.
+//! connections: handshake on connect, one frame (in one write) per event,
+//! and a final `Finish` → `Summary` exchange whose JSON is exactly the
+//! canonical `RaceSummary::to_json` bytes — callers compare it directly
+//! against an in-process run for parity checks.
 //!
 //! # Durability
 //!
@@ -23,6 +23,7 @@
 //! [`ClientError::ResumeGap`] — never a panic, never a hang.
 
 use std::collections::VecDeque;
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -31,7 +32,8 @@ use race_core::error::RetryPolicy;
 use race_core::summary::RaceSummary;
 
 use crate::frame::{
-    read_frame, write_frame, ClientFrame, FrameError, ServerFrame, WireError, WireEvent,
+    push_frame, read_frame, write_frame_with, ClientFrame, FrameError, ServerFrame, WireError,
+    WireEvent,
 };
 
 /// Default bound of the client-side replay buffer (events retained for
@@ -186,6 +188,9 @@ pub struct ServiceClient {
     replay_capacity: usize,
     /// Reconnects performed over this client's lifetime.
     reconnects: u64,
+    /// Reused staging buffer: each outgoing frame is encoded here, behind
+    /// its length prefix, and leaves in one write.
+    send_buf: Vec<u8>,
 }
 
 impl ServiceClient {
@@ -233,6 +238,7 @@ impl ServiceClient {
             replay: VecDeque::new(),
             replay_capacity: DEFAULT_REPLAY_CAPACITY,
             reconnects: 0,
+            send_buf: Vec::new(),
         };
         client.send_client_frame(&ClientFrame::Hello {
             config_json: config.to_json(),
@@ -412,14 +418,13 @@ impl ServiceClient {
 
     fn try_resume(&mut self) -> Result<(), ClientError> {
         let (mut stream, _) = dial(self.peer, self.timeouts)?;
-        write_frame(
-            &mut stream,
-            &ClientFrame::Resume {
-                token: self.token,
-                last_acked_seq: self.server_floor(),
-            }
-            .encode(),
-        )?;
+        let resume = ClientFrame::Resume {
+            token: self.token,
+            last_acked_seq: self.server_floor(),
+        };
+        write_frame_with(&mut stream, &mut self.send_buf, |buf| {
+            resume.encode_into(buf)
+        })?;
         let payload = read_frame(&mut stream)?;
         match ServerFrame::decode(&payload)? {
             ServerFrame::ResumeAck { session, next_seq } => {
@@ -436,16 +441,15 @@ impl ServiceClient {
                         oldest_buffered: self.sent,
                     });
                 }
-                // Replay exactly the events the server never applied.
-                let tail: Vec<Vec<u8>> = self
-                    .replay
-                    .iter()
-                    .filter(|(seq, _)| *seq >= next_seq)
-                    .map(|(_, ev)| ClientFrame::Event(*ev).encode())
-                    .collect();
-                for frame in tail {
-                    write_frame(&mut stream, &frame)?;
+                // Replay exactly the events the server never applied, all
+                // in one write.
+                self.send_buf.clear();
+                for (_, ev) in self.replay.iter().filter(|(seq, _)| *seq >= next_seq) {
+                    push_frame(&mut self.send_buf, |buf| {
+                        ClientFrame::Event(*ev).encode_into(buf)
+                    })?;
                 }
+                stream.write_all(&self.send_buf)?;
                 self.session = session;
                 self.stream = stream;
                 Ok(())
@@ -466,7 +470,9 @@ impl ServiceClient {
     }
 
     fn send_client_frame(&mut self, frame: &ClientFrame) -> Result<(), ClientError> {
-        write_frame(&mut self.stream, &frame.encode())?;
+        write_frame_with(&mut self.stream, &mut self.send_buf, |buf| {
+            frame.encode_into(buf)
+        })?;
         Ok(())
     }
 

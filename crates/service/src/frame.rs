@@ -268,18 +268,54 @@ const OP_LOCAL_READ: u8 = 2;
 const OP_LOCAL_WRITE: u8 = 3;
 const OP_ATOMIC: u8 = 4;
 
-/// Write one frame (length prefix + payload). Fails with `InvalidInput`
+/// Bytes one read may add beyond a partial frame of maximal size: the
+/// [`FrameReader`] buffer holds at most `4 + MAX_FRAME + READ_CHUNK` bytes.
+const READ_CHUNK: usize = 16 * 1024;
+
+/// Write one frame (length prefix + payload) with a single `write_all`, so a
+/// `TCP_NODELAY` socket sends it as one segment. Fails with `InvalidInput`
 /// rather than sending a frame the peer is guaranteed to reject.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-    if payload.is_empty() || payload.len() > MAX_FRAME {
+    let mut staged = Vec::with_capacity(4 + payload.len());
+    write_frame_with(w, &mut staged, |buf| buf.extend_from_slice(payload))
+}
+
+/// [`write_frame`] for a payload that `encode` appends straight into
+/// `staged`, behind its length prefix. `staged` is cleared first and keeps
+/// its capacity, so a sender that reuses it allocates nothing per frame.
+pub(crate) fn write_frame_with(
+    w: &mut impl Write,
+    staged: &mut Vec<u8>,
+    encode: impl FnOnce(&mut Vec<u8>),
+) -> std::io::Result<()> {
+    staged.clear();
+    push_frame(staged, encode)?;
+    w.write_all(staged)?;
+    w.flush()
+}
+
+/// Append one whole frame to `out`: a length prefix, then the payload that
+/// `encode` appends. On an empty or oversized payload `out` is left as it
+/// was and the error is `InvalidInput`.
+pub(crate) fn push_frame(
+    out: &mut Vec<u8>,
+    encode: impl FnOnce(&mut Vec<u8>),
+) -> std::io::Result<()> {
+    let at = out.len();
+    out.extend_from_slice(&[0; 4]);
+    encode(out);
+    let len = out.len() - at - 4;
+    if len == 0 || len > MAX_FRAME {
+        out.truncate(at);
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidInput,
-            format!("refusing to send invalid frame of {} bytes", payload.len()),
+            format!("refusing to send invalid frame of {len} bytes"),
         ));
     }
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
-    w.flush()
+    if let Some(prefix) = out.get_mut(at..at + 4) {
+        prefix.copy_from_slice(&(len as u32).to_le_bytes());
+    }
+    Ok(())
 }
 
 /// Read one frame's payload. Distinguishes a clean close at a frame boundary
@@ -289,16 +325,22 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
 pub fn read_frame(r: &mut impl Read) -> Result<Vec<u8>, WireError> {
     let mut len_buf = [0u8; 4];
     read_exact_or(r, &mut len_buf, "length prefix", true)?;
-    let len = u32::from_le_bytes(len_buf) as usize;
-    if len == 0 {
-        return Err(FrameError::Empty.into());
-    }
-    if len > MAX_FRAME {
-        return Err(FrameError::Oversized { len }.into());
-    }
+    let len = check_len(u32::from_le_bytes(len_buf) as usize)?;
     let mut payload = vec![0u8; len];
     read_exact_or(r, &mut payload, "payload", false)?;
     Ok(payload)
+}
+
+/// Police a length prefix: zero and over-[`MAX_FRAME`] lengths are refused
+/// before anything waits for (or allocates) the payload.
+fn check_len(len: usize) -> Result<usize, FrameError> {
+    if len == 0 {
+        return Err(FrameError::Empty);
+    }
+    if len > MAX_FRAME {
+        return Err(FrameError::Oversized { len });
+    }
+    Ok(len)
 }
 
 /// `read_exact` that reports a clean EOF before the first byte as
@@ -326,6 +368,102 @@ fn read_exact_or(
         }
     }
     Ok(())
+}
+
+/// Bulk frame reader for an untrusted stream. Each read takes whatever the
+/// stream holds into one reused buffer, and [`FrameReader::next_frame`]
+/// hands out every complete frame in it in place, reading again only when
+/// none is left.
+///
+/// - A read timeout (the server's liveness tick) comes back as
+///   [`WireError::Io`] with the partial frame kept, so the tick never
+///   corrupts the stream.
+/// - A zero or oversized length prefix is refused as soon as its four bytes
+///   are buffered, before anything waits for its payload.
+/// - The buffer never grows: it holds one maximal frame plus one read.
+/// - End of stream at a frame boundary is [`FrameError::ConnectionClosed`];
+///   inside a frame it is [`FrameError::Truncated`].
+pub struct FrameReader<R> {
+    inner: R,
+    buf: Box<[u8]>,
+    /// The unconsumed bytes are `buf[start..end]`.
+    start: usize,
+    end: usize,
+}
+
+impl<R: Read> FrameReader<R> {
+    /// Wrap a stream. Its read timeout, if any, sets the tick at which
+    /// [`FrameReader::next_frame`] returns a timeout error.
+    pub fn new(inner: R) -> Self {
+        FrameReader {
+            inner,
+            buf: vec![0; 4 + MAX_FRAME + READ_CHUNK].into_boxed_slice(),
+            start: 0,
+            end: 0,
+        }
+    }
+
+    /// The next frame's payload, borrowed from the buffer until the next
+    /// call. Reads from the stream only when no complete frame is buffered.
+    pub fn next_frame(&mut self) -> Result<&[u8], WireError> {
+        loop {
+            if let Some(len) = self.buffered_frame()? {
+                let from = self.start + 4;
+                self.start = from + len;
+                return Ok(self.buf.get(from..self.start).unwrap_or(&[]));
+            }
+            self.fill()?;
+        }
+    }
+
+    /// True when [`FrameReader::next_frame`] will return without reading:
+    /// a whole frame, or a length prefix it refuses, is buffered.
+    pub fn has_frame(&self) -> bool {
+        !matches!(self.buffered_frame(), Ok(None))
+    }
+
+    /// The payload length of the buffered frame, `None` while it is still
+    /// incomplete.
+    fn buffered_frame(&self) -> Result<Option<usize>, FrameError> {
+        let pending = self.buf.get(self.start..self.end).unwrap_or(&[]);
+        let Some(prefix) = pending.first_chunk::<4>() else {
+            return Ok(None);
+        };
+        let len = check_len(u32::from_le_bytes(*prefix) as usize)?;
+        Ok((pending.len() - 4 >= len).then_some(len))
+    }
+
+    /// One read into the free tail of the buffer, after moving the partial
+    /// frame to the front. The partial frame is shorter than `4 +
+    /// MAX_FRAME`, so at least [`READ_CHUNK`] bytes are free.
+    fn fill(&mut self) -> Result<(), WireError> {
+        if self.start > 0 {
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+        }
+        let free = self.buf.get_mut(self.end..).unwrap_or(&mut []);
+        loop {
+            match self.inner.read(free) {
+                Ok(0) => {
+                    return Err(match self.end {
+                        0 => FrameError::ConnectionClosed,
+                        1..4 => FrameError::Truncated {
+                            what: "length prefix",
+                        },
+                        _ => FrameError::Truncated { what: "payload" },
+                    }
+                    .into());
+                }
+                Ok(n) => {
+                    self.end += n;
+                    return Ok(());
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(WireError::Io(e)),
+            }
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -404,6 +542,12 @@ impl ClientFrame {
     /// Serialise to a frame payload (tag byte + body).
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(64);
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Append the frame payload (tag byte + body) to `buf`.
+    pub(crate) fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
             ClientFrame::Hello { config_json } => {
                 buf.push(TAG_HELLO);
@@ -412,7 +556,7 @@ impl ClientFrame {
             }
             ClientFrame::Event(ev) => {
                 buf.push(TAG_EVENT);
-                put_event(&mut buf, ev);
+                put_event(buf, ev);
             }
             ClientFrame::Finish => buf.push(TAG_FINISH),
             ClientFrame::Ping => buf.push(TAG_PING),
@@ -422,11 +566,10 @@ impl ClientFrame {
             } => {
                 buf.push(TAG_RESUME);
                 buf.push(PROTOCOL_VERSION);
-                put_u64(&mut buf, *token);
-                put_u64(&mut buf, *last_acked_seq);
+                put_u64(buf, *token);
+                put_u64(buf, *last_acked_seq);
             }
         }
-        buf
     }
 }
 
@@ -434,16 +577,22 @@ impl ServerFrame {
     /// Serialise to a frame payload (tag byte + body).
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::with_capacity(64);
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Append the frame payload (tag byte + body) to `buf`.
+    pub(crate) fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
             ServerFrame::HelloAck { session, token } => {
                 buf.push(TAG_HELLO_ACK);
-                put_u64(&mut buf, *session);
-                put_u64(&mut buf, *token);
+                put_u64(buf, *session);
+                put_u64(buf, *token);
             }
             ServerFrame::ResumeAck { session, next_seq } => {
                 buf.push(TAG_RESUME_ACK);
-                put_u64(&mut buf, *session);
-                put_u64(&mut buf, *next_seq);
+                put_u64(buf, *session);
+                put_u64(buf, *next_seq);
             }
             ServerFrame::Health {
                 degraded,
@@ -453,13 +602,13 @@ impl ServerFrame {
             } => {
                 buf.push(TAG_HEALTH);
                 buf.push(u8::from(*degraded));
-                put_u64(&mut buf, *events);
-                put_u64(&mut buf, *reports);
-                put_u64(&mut buf, *shed);
+                put_u64(buf, *events);
+                put_u64(buf, *reports);
+                put_u64(buf, *shed);
             }
             ServerFrame::Summary { shed, json } => {
                 buf.push(TAG_SUMMARY);
-                put_u64(&mut buf, *shed);
+                put_u64(buf, *shed);
                 buf.extend_from_slice(json.as_bytes());
             }
             ServerFrame::Error { message } => {
@@ -467,7 +616,6 @@ impl ServerFrame {
                 buf.extend_from_slice(message.as_bytes());
             }
         }
-        buf
     }
 }
 
@@ -886,6 +1034,200 @@ mod tests {
             read_frame(&mut cut),
             Err(WireError::Frame(FrameError::Truncated { .. }))
         ));
+    }
+
+    /// A stream that replays scripted reads: each `Ok` chunk is the bytes
+    /// of one read, each `Err` the error of one read; past the script it
+    /// reports end of stream. Counts the reads it served.
+    struct Script {
+        reads: std::collections::VecDeque<std::io::Result<Vec<u8>>>,
+        served: usize,
+    }
+
+    impl Script {
+        fn new(reads: Vec<std::io::Result<Vec<u8>>>) -> FrameReader<Script> {
+            FrameReader::new(Script {
+                reads: reads.into(),
+                served: 0,
+            })
+        }
+    }
+
+    impl Read for Script {
+        fn read(&mut self, dst: &mut [u8]) -> std::io::Result<usize> {
+            self.served += 1;
+            match self.reads.pop_front() {
+                None => Ok(0),
+                Some(Err(e)) => Err(e),
+                Some(Ok(chunk)) => {
+                    assert!(
+                        chunk.len() <= dst.len(),
+                        "chunk larger than the free buffer"
+                    );
+                    dst[..chunk.len()].copy_from_slice(&chunk);
+                    Ok(chunk.len())
+                }
+            }
+        }
+    }
+
+    fn timeout() -> std::io::Result<Vec<u8>> {
+        Err(std::io::ErrorKind::WouldBlock.into())
+    }
+
+    /// Every sample event, framed back to back.
+    fn wire_bytes() -> (Vec<ClientFrame>, Vec<u8>) {
+        let frames: Vec<ClientFrame> = sample_events()
+            .into_iter()
+            .map(ClientFrame::Event)
+            .chain([ClientFrame::Ping, ClientFrame::Finish])
+            .collect();
+        let mut bytes = Vec::new();
+        for f in &frames {
+            push_frame(&mut bytes, |b| f.encode_into(b)).unwrap();
+        }
+        (frames, bytes)
+    }
+
+    /// Drain `reader` to its end, decoding every frame.
+    fn read_all<R: Read>(reader: &mut FrameReader<R>) -> (Vec<ClientFrame>, WireError) {
+        let mut got = Vec::new();
+        loop {
+            match reader.next_frame() {
+                Ok(p) => got.push(ClientFrame::decode(p).expect("valid frame")),
+                Err(e) if e.is_timeout() => {}
+                Err(e) => return (got, e),
+            }
+        }
+    }
+
+    #[test]
+    fn reader_decodes_many_frames_from_one_read() {
+        let (frames, bytes) = wire_bytes();
+        let mut reader = Script::new(vec![Ok(bytes)]);
+        for (i, want) in frames.iter().enumerate() {
+            let got = ClientFrame::decode(reader.next_frame().unwrap()).unwrap();
+            assert_eq!(&got, want);
+            assert_eq!(reader.has_frame(), i + 1 < frames.len());
+        }
+        assert_eq!(reader.inner.served, 1, "one read served every frame");
+        assert!(matches!(
+            reader.next_frame(),
+            Err(WireError::Frame(FrameError::ConnectionClosed))
+        ));
+    }
+
+    #[test]
+    fn reader_joins_frames_split_across_reads() {
+        let (frames, bytes) = wire_bytes();
+        // Cut inside a length prefix and inside payloads.
+        let cuts = [2, 7, 30, 31, 90, bytes.len()];
+        let mut chunks = Vec::new();
+        let mut from = 0;
+        for &to in &cuts {
+            chunks.push(Ok(bytes[from..to].to_vec()));
+            from = to;
+        }
+        let (got, end) = read_all(&mut Script::new(chunks));
+        assert_eq!(got, frames);
+        assert!(matches!(
+            end,
+            WireError::Frame(FrameError::ConnectionClosed)
+        ));
+    }
+
+    #[test]
+    fn reader_survives_byte_at_a_time_delivery() {
+        let (frames, bytes) = wire_bytes();
+        let chunks = bytes.iter().map(|&b| Ok(vec![b])).collect();
+        let (got, end) = read_all(&mut Script::new(chunks));
+        assert_eq!(got, frames);
+        assert!(matches!(
+            end,
+            WireError::Frame(FrameError::ConnectionClosed)
+        ));
+    }
+
+    #[test]
+    fn reader_keeps_a_partial_frame_across_a_timeout() {
+        let payload = ClientFrame::Event(sample_events()[0]).encode();
+        let mut bytes = Vec::new();
+        write_frame(&mut bytes, &payload).unwrap();
+        let (head, tail) = bytes.split_at(3 + payload.len() / 2);
+        let mut reader = Script::new(vec![Ok(head.to_vec()), timeout(), Ok(tail.to_vec())]);
+        assert!(reader.next_frame().unwrap_err().is_timeout());
+        assert!(!reader.has_frame());
+        assert_eq!(reader.next_frame().unwrap(), &payload[..]);
+    }
+
+    #[test]
+    fn reader_refuses_bad_prefixes_before_their_payload() {
+        // The prefix arrives alone; the next read would time out. The
+        // refusal must come first, without that read.
+        for (prefix, want) in [
+            (
+                u32::MAX,
+                FrameError::Oversized {
+                    len: u32::MAX as usize,
+                },
+            ),
+            (
+                MAX_FRAME as u32 + 1,
+                FrameError::Oversized { len: MAX_FRAME + 1 },
+            ),
+            (0, FrameError::Empty),
+        ] {
+            let mut reader = Script::new(vec![Ok(prefix.to_le_bytes().to_vec()), timeout()]);
+            match reader.next_frame() {
+                Err(WireError::Frame(e)) => assert_eq!(e, want),
+                other => panic!("prefix {prefix}: {other:?}"),
+            }
+            assert_eq!(reader.inner.served, 1);
+        }
+    }
+
+    #[test]
+    fn reader_end_of_stream_is_truncated_mid_frame_and_closed_at_a_boundary() {
+        let (_, bytes) = wire_bytes();
+        let first = 4 + ClientFrame::Event(sample_events()[0]).encode().len();
+        // Clean close right after a whole frame.
+        let mut reader = Script::new(vec![Ok(bytes[..first].to_vec())]);
+        reader.next_frame().unwrap();
+        assert!(matches!(
+            reader.next_frame(),
+            Err(WireError::Frame(FrameError::ConnectionClosed))
+        ));
+        // Cut inside the second frame's prefix, then inside its payload.
+        for (cut, what) in [(first + 2, "length prefix"), (first + 9, "payload")] {
+            let mut reader = Script::new(vec![Ok(bytes[..cut].to_vec())]);
+            reader.next_frame().unwrap();
+            match reader.next_frame() {
+                Err(WireError::Frame(FrameError::Truncated { what: got })) => assert_eq!(got, what),
+                other => panic!("cut at {cut}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn reader_buffer_stays_bounded_by_maximal_frames() {
+        // Back-to-back maximal frames, delivered in reads that straddle
+        // frame boundaries. Every read must fit the free tail of the fixed
+        // buffer (the script asserts it): the partial frame moves to the
+        // front instead of the buffer growing.
+        let payload = vec![TAG_HELLO; MAX_FRAME];
+        let mut bytes = Vec::new();
+        for _ in 0..3 {
+            write_frame(&mut bytes, &payload).unwrap();
+        }
+        let chunks = bytes
+            .chunks(READ_CHUNK - 1)
+            .map(|c| Ok(c.to_vec()))
+            .collect();
+        let mut reader = Script::new(chunks);
+        for _ in 0..3 {
+            assert_eq!(reader.next_frame().unwrap().len(), MAX_FRAME);
+        }
+        assert_eq!(reader.buf.len(), 4 + MAX_FRAME + READ_CHUNK);
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //!
 //! Layering:
 //!
-//! - [`frame`] — the length-prefixed wire codec; the trust boundary.
+//! - [`frame`] — the length-prefixed wire codec and the bulk
+//!   [`frame::FrameReader`] the server reads with; the trust boundary.
 //!   Decoding untrusted bytes returns typed [`frame::FrameError`]s and has
 //!   no panicking path.
 //! - [`server`] — accept loop, per-session supervision, bounded queues

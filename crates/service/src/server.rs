@@ -18,8 +18,10 @@
 //!    middle of a frame — **parks** its session in a registry instead of
 //!    ending it: a reconnecting client presents the resume token from its
 //!    `HelloAck` and picks up exactly where it left off.
-//! 3. **Per-session memory is bounded.** Events flow through a
-//!    `sync_channel` of [`ServeConfig::queue_capacity`]; when a client
+//! 3. **Per-session memory is bounded.** The socket reader pulls whatever
+//!    the socket holds into one fixed buffer and hands runs of consecutive
+//!    events to the worker in batches, through a `sync_channel` that holds
+//!    at most [`ServeConfig::queue_capacity`] events; when a client
 //!    outruns its session the [`SlowClientPolicy`] decides between
 //!    back-pressure ([`SlowClientPolicy::Block`]) and shedding with a
 //!    counted `shed` statistic. The completed-session ledger is bounded too
@@ -54,11 +56,17 @@ use race_core::error::RetryPolicy;
 use race_core::snapshot::JournalEvent;
 use race_core::summary::RaceSummary;
 
-use crate::frame::{write_frame, ClientFrame, FrameError, ServerFrame, WireError, WireEvent};
+use crate::frame::{
+    write_frame_with, ClientFrame, FrameError, FrameReader, ServerFrame, WireError, WireEvent,
+};
 
 /// How often blocked reads wake up to check for shutdown and idleness, and
 /// how often the park reaper scans for expired sessions.
 const TICK: Duration = Duration::from_millis(25);
+
+/// Most events the socket reader hands the worker in one batch (fewer when
+/// [`ServeConfig::queue_capacity`] is smaller).
+const MAX_BATCH: usize = 64;
 
 /// What to do when a client produces events faster than its session absorbs
 /// them and the bounded queue is full.
@@ -86,7 +94,9 @@ pub type SinkFactory = Arc<dyn Fn() -> Box<dyn ReportSink> + Send + Sync>;
 #[derive(Clone)]
 pub struct ServeConfig {
     /// Bound of the per-session event queue (events buffered between the
-    /// socket reader and the session worker).
+    /// socket reader and the session worker). The reader hands events over
+    /// in batches of at most `min(queue_capacity, 64)`, and the queue holds
+    /// `max(1, queue_capacity / batch)` batches.
     pub queue_capacity: usize,
     /// Full-queue behaviour.
     pub slow_policy: SlowClientPolicy,
@@ -546,7 +556,8 @@ enum EndReason {
 
 /// Commands from the socket reader to the session worker.
 enum Cmd {
-    Event(WireEvent),
+    /// Consecutive events, applied one by one in order.
+    Events(Vec<WireEvent>),
     Ping,
     End(EndReason),
 }
@@ -565,76 +576,19 @@ enum SessionStart {
 
 /// What the worker hands back to the reader thread.
 enum WorkerExit {
-    /// The session ended; record it in the ledger.
-    Ended(SessionRecord),
+    /// The session ended: record it in the ledger, then send `replies` to
+    /// the client, so a client holding its `Summary` finds the session in
+    /// the ledger.
+    Ended {
+        record: SessionRecord,
+        replies: Vec<ServerFrame>,
+    },
     /// The session parked: re-register it under the connection's token.
     Parked {
         checkpoint: Vec<u8>,
         events: u64,
         shed: u64,
     },
-}
-
-/// Incremental frame reader that survives read timeouts: partial bytes of
-/// the current frame are retained across `WouldBlock`, so the liveness tick
-/// never corrupts the stream. (A plain `read_exact` would drop the partial
-/// prefix on timeout and resynchronise mid-frame.)
-struct TickedFrameReader {
-    stream: TcpStream,
-    buf: Vec<u8>,
-    need: Option<usize>,
-}
-
-impl TickedFrameReader {
-    fn new(stream: TcpStream) -> Self {
-        TickedFrameReader {
-            stream,
-            buf: Vec::new(),
-            need: None,
-        }
-    }
-
-    /// Read until one whole frame is buffered. Returns the payload, or a
-    /// `WireError` — timeouts come back as `Io` with state preserved.
-    fn poll_frame(&mut self) -> Result<Vec<u8>, WireError> {
-        loop {
-            if self.need.is_none() && self.buf.len() >= 4 {
-                let len = u32::from_le_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]])
-                    as usize;
-                if len == 0 {
-                    return Err(FrameError::Empty.into());
-                }
-                if len > crate::frame::MAX_FRAME {
-                    return Err(FrameError::Oversized { len }.into());
-                }
-                self.need = Some(4 + len);
-            }
-            if let Some(need) = self.need {
-                if self.buf.len() >= need {
-                    let payload = self.buf[4..need].to_vec();
-                    self.buf.clear();
-                    self.need = None;
-                    return Ok(payload);
-                }
-            }
-            let target = self.need.unwrap_or(4);
-            let mut tmp = [0u8; 4096];
-            let want = (target - self.buf.len()).min(tmp.len());
-            use std::io::Read;
-            match (&self.stream).read(&mut tmp[..want]) {
-                Ok(0) => {
-                    return Err(if self.buf.is_empty() {
-                        FrameError::ConnectionClosed.into()
-                    } else {
-                        FrameError::Truncated { what: "payload" }.into()
-                    });
-                }
-                Ok(n) => self.buf.extend_from_slice(&tmp[..n]),
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(WireError::Io(e)),
-            }
-        }
-    }
 }
 
 /// The first frame of a connection, validated.
@@ -658,10 +612,10 @@ fn handle_connection(
     let _ = stream.set_read_timeout(Some(TICK));
 
     let write_stream = match stream.try_clone() {
-        Ok(s) => s,
+        Ok(s) => Arc::new(s),
         Err(_) => return, // connection unusable before it began
     };
-    let mut reader = TickedFrameReader::new(stream);
+    let mut reader = FrameReader::new(stream);
 
     // --- Handshake: first frame must be a well-formed Hello or Resume. ----
     let handshake = match read_handshake(&mut reader, cfg, shutdown, stats) {
@@ -736,63 +690,74 @@ fn handle_connection(
     };
 
     // --- Session worker. --------------------------------------------------
-    let (tx, rx) = mpsc::sync_channel::<Cmd>(cfg.queue_capacity.max(1));
+    let batch_cap = cfg.queue_capacity.clamp(1, MAX_BATCH);
+    let (tx, rx) = mpsc::sync_channel::<Cmd>((cfg.queue_capacity / batch_cap).max(1));
     let shed = Arc::new(AtomicU64::new(shed0));
     let worker = {
         let cfg = Arc::clone(cfg);
         let shed = Arc::clone(&shed);
         let stats = Arc::clone(stats);
-        let worker_stream = match write_stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => write_stream, // fall back to sharing; writes are framed
-        };
-        std::thread::spawn(move || run_session(rx, worker_stream, start, cfg, shed, stats))
+        let worker_stream = Arc::clone(&write_stream);
+        std::thread::spawn(move || run_session(rx, &worker_stream, start, cfg, shed, stats))
     };
 
     // --- Pump frames until the stream ends one way or another. ------------
+    // Consecutive events collect in `batch`, which is handed over when it
+    // is full, when the buffer holds no further complete frame (batching
+    // never waits for bytes), and before any other command, so a `Ping`
+    // sees every event sent before it.
+    let mut batch: Vec<WireEvent> = Vec::with_capacity(batch_cap);
     let mut last_frame = Instant::now();
     loop {
-        match reader.poll_frame() {
-            Ok(payload) => {
-                last_frame = Instant::now();
-                match ClientFrame::decode(&payload) {
-                    Ok(ClientFrame::Event(ev)) => {
-                        if !enqueue_event(&tx, ev, cfg, &shed, stats) {
-                            // Worker is gone (it died un-recoverably);
-                            // record what the supervisor already counted
-                            // and stop reading.
-                            break;
-                        }
-                    }
-                    Ok(ClientFrame::Ping) => {
-                        if tx.send(Cmd::Ping).is_err() {
-                            break;
-                        }
-                    }
-                    Ok(ClientFrame::Finish) => {
-                        let _ = tx.send(Cmd::End(EndReason::Finish));
-                        break;
-                    }
-                    Ok(ClientFrame::Hello { .. }) => {
-                        stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
-                        let _ = tx.send(Cmd::End(EndReason::Poison(
-                            "unexpected second hello".into(),
-                        )));
-                        break;
-                    }
-                    Ok(ClientFrame::Resume { .. }) => {
-                        stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
-                        let _ = tx.send(Cmd::End(EndReason::Poison(
-                            "resume is only valid as the first frame".into(),
-                        )));
-                        break;
-                    }
-                    Err(e) => {
-                        stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
-                        let _ = tx.send(Cmd::End(EndReason::Poison(e.to_string())));
-                        break;
-                    }
+        let polled = reader.next_frame().map(ClientFrame::decode);
+        let is_event = matches!(polled, Ok(Ok(ClientFrame::Event(_))));
+        if !is_event
+            && !batch.is_empty()
+            && !enqueue_events(&tx, &mut batch, batch_cap, cfg, &shed, stats)
+        {
+            break; // the worker is gone
+        }
+        if polled.is_ok() {
+            last_frame = Instant::now();
+        }
+        match polled {
+            Ok(Ok(ClientFrame::Event(ev))) => {
+                batch.push(ev);
+                if (batch.len() == batch_cap || !reader.has_frame())
+                    && !enqueue_events(&tx, &mut batch, batch_cap, cfg, &shed, stats)
+                {
+                    // Worker is gone (it died un-recoverably); record what
+                    // the supervisor already counted and stop reading.
+                    break;
                 }
+            }
+            Ok(Ok(ClientFrame::Ping)) => {
+                if tx.send(Cmd::Ping).is_err() {
+                    break;
+                }
+            }
+            Ok(Ok(ClientFrame::Finish)) => {
+                let _ = tx.send(Cmd::End(EndReason::Finish));
+                break;
+            }
+            Ok(Ok(ClientFrame::Hello { .. })) => {
+                stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
+                let _ = tx.send(Cmd::End(EndReason::Poison(
+                    "unexpected second hello".into(),
+                )));
+                break;
+            }
+            Ok(Ok(ClientFrame::Resume { .. })) => {
+                stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
+                let _ = tx.send(Cmd::End(EndReason::Poison(
+                    "resume is only valid as the first frame".into(),
+                )));
+                break;
+            }
+            Ok(Err(e)) => {
+                stats.frames_rejected.fetch_add(1, Ordering::Relaxed);
+                let _ = tx.send(Cmd::End(EndReason::Poison(e.to_string())));
+                break;
             }
             Err(e) if e.is_timeout() => {
                 if shutdown.load(Ordering::SeqCst) {
@@ -830,10 +795,18 @@ fn handle_connection(
 
     drop(tx);
     match worker.join() {
-        Ok(WorkerExit::Ended(mut record)) => {
+        Ok(WorkerExit::Ended {
+            mut record,
+            replies,
+        }) => {
             record.session = session_id;
             bump_outcome(stats, record.outcome);
             push_record(ledger, record);
+            // Ignore write failures: for hangups and reaps the peer may
+            // already be gone.
+            for frame in &replies {
+                send_frame(&write_stream, frame);
+            }
         }
         Ok(WorkerExit::Parked {
             checkpoint,
@@ -898,16 +871,16 @@ fn reject_connection(
 /// connection is charged to the returned outcome (with a message to echo to
 /// the peer when one makes sense).
 fn read_handshake(
-    reader: &mut TickedFrameReader,
+    reader: &mut FrameReader<TcpStream>,
     cfg: &ServeConfig,
     shutdown: &AtomicBool,
     stats: &ServerStats,
 ) -> Result<Handshake, (SessionOutcome, Option<String>)> {
     let started = Instant::now();
     loop {
-        match reader.poll_frame() {
+        match reader.next_frame() {
             Ok(payload) => {
-                return match ClientFrame::decode(&payload) {
+                return match ClientFrame::decode(payload) {
                     Ok(ClientFrame::Hello { config_json }) => {
                         match DetectorConfig::from_json(&config_json) {
                             Ok(config) => Ok(Handshake::Fresh(config)),
@@ -963,19 +936,24 @@ fn read_handshake(
     }
 }
 
-/// Queue one event under the configured slow-client policy. Returns false
-/// when the worker is gone.
-fn enqueue_event(
+/// Hand the batch to the worker under the configured slow-client policy,
+/// leaving `batch` empty. Under [`SlowClientPolicy::Shed`] a batch that
+/// finds no room is dropped and each of its events counted as shed.
+/// Returns false when the worker is gone.
+fn enqueue_events(
     tx: &SyncSender<Cmd>,
-    ev: WireEvent,
+    batch: &mut Vec<WireEvent>,
+    batch_cap: usize,
     cfg: &ServeConfig,
     shed: &AtomicU64,
     stats: &ServerStats,
 ) -> bool {
+    let events = std::mem::replace(batch, Vec::with_capacity(batch_cap));
+    let count = events.len() as u64;
+    let mut cmd = Cmd::Events(events);
     match cfg.slow_policy {
-        SlowClientPolicy::Block => tx.send(Cmd::Event(ev)).is_ok(),
+        SlowClientPolicy::Block => tx.send(cmd).is_ok(),
         SlowClientPolicy::Shed => {
-            let mut cmd = Cmd::Event(ev);
             match tx.try_send(cmd) {
                 Ok(()) => return true,
                 Err(TrySendError::Disconnected(_)) => return false,
@@ -989,8 +967,8 @@ fn enqueue_event(
                     Err(TrySendError::Full(c)) => cmd = c,
                 }
             }
-            shed.fetch_add(1, Ordering::Relaxed);
-            stats.events_shed.fetch_add(1, Ordering::Relaxed);
+            shed.fetch_add(count, Ordering::Relaxed);
+            stats.events_shed.fetch_add(count, Ordering::Relaxed);
             true // shed, but the stream goes on
         }
     }
@@ -1020,7 +998,7 @@ fn mint_token(session_id: u64) -> u64 {
 /// never the server.
 fn run_session(
     rx: Receiver<Cmd>,
-    stream: TcpStream,
+    stream: &TcpStream,
     start: SessionStart,
     cfg: Arc<ServeConfig>,
     shed: Arc<AtomicU64>,
@@ -1035,7 +1013,7 @@ fn run_session(
         } => match Session::restore(&checkpoint, make_sink(&cfg)) {
             Ok(session) => {
                 send_frame(
-                    &stream,
+                    stream,
                     &ServerFrame::ResumeAck {
                         session: session_id,
                         next_seq: events,
@@ -1045,25 +1023,22 @@ fn run_session(
             }
             Err(e) => {
                 let message = format!("resume failed: {e}");
-                send_frame(
-                    &stream,
-                    &ServerFrame::Error {
-                        message: message.clone(),
-                    },
-                );
-                return WorkerExit::Ended(SessionRecord {
-                    session: 0, // filled in by the reader thread
-                    outcome: SessionOutcome::Poisoned,
-                    degraded: true,
-                    events,
-                    shed: shed.load(Ordering::Relaxed),
-                    summary_json: RaceSummary {
+                return WorkerExit::Ended {
+                    record: SessionRecord {
+                        session: 0, // filled in by the reader thread
+                        outcome: SessionOutcome::Poisoned,
                         degraded: true,
-                        ..RaceSummary::default()
-                    }
-                    .to_json(),
-                    error: Some(message),
-                });
+                        events,
+                        shed: shed.load(Ordering::Relaxed),
+                        summary_json: RaceSummary {
+                            degraded: true,
+                            ..RaceSummary::default()
+                        }
+                        .to_json(),
+                        error: Some(message.clone()),
+                    },
+                    replies: vec![ServerFrame::Error { message }],
+                };
             }
         },
     };
@@ -1078,34 +1053,37 @@ fn run_session(
     let end = 'drive: loop {
         match rx.recv() {
             Err(_) => break EndReason::Park, // reader died without a verdict
-            Ok(Cmd::Event(ev)) => {
-                events += 1;
-                let step = catch_unwind(AssertUnwindSafe(|| {
-                    if let WireEvent::Op(op) = &ev {
-                        if armed == Some(op.op_id) {
-                            panic!("injected session panic at op {}", op.op_id);
+            Ok(Cmd::Events(batch)) => {
+                for ev in &batch {
+                    events += 1;
+                    let step = catch_unwind(AssertUnwindSafe(|| {
+                        if let WireEvent::Op(op) = ev {
+                            if armed == Some(op.op_id) {
+                                panic!("injected session panic at op {}", op.op_id);
+                            }
+                        }
+                        apply_event(&mut session, ev);
+                    }));
+                    if let Err(payload) = step {
+                        // The worker just died mid-event. Rebuild the
+                        // session from the last checkpoint + journal and
+                        // keep going; only an unrebuildable session is
+                        // terminal.
+                        let msg = panic_text(payload.as_ref());
+                        armed = None; // one-shot: the replay must not re-trip
+                        match recover_session(ckpt.as_deref(), &session, ev, events, &cfg) {
+                            Some(rebuilt) => {
+                                stats.panics_supervised.fetch_add(1, Ordering::Relaxed);
+                                session = rebuilt;
+                                recovered = Some(msg);
+                            }
+                            None => break 'drive EndReason::Poison(format!("__panic__{msg}")),
                         }
                     }
-                    apply_event(&mut session, &ev);
-                }));
-                if let Err(payload) = step {
-                    // The worker just died mid-event. Rebuild the session
-                    // from the last checkpoint + journal and keep going;
-                    // only an unrebuildable session is terminal.
-                    let msg = panic_text(payload.as_ref());
-                    armed = None; // one-shot: the replay must not re-trip
-                    match recover_session(ckpt.as_deref(), &session, &ev, events, &cfg) {
-                        Some(rebuilt) => {
-                            stats.panics_supervised.fetch_add(1, Ordering::Relaxed);
-                            session = rebuilt;
-                            recovered = Some(msg);
+                    if events % checkpoint_every == 0 {
+                        if let Ok(bytes) = session.checkpoint() {
+                            ckpt = Some(bytes);
                         }
-                        None => break 'drive EndReason::Poison(format!("__panic__{msg}")),
-                    }
-                }
-                if events % checkpoint_every == 0 {
-                    if let Ok(bytes) = session.checkpoint() {
-                        ckpt = Some(bytes);
                     }
                 }
             }
@@ -1119,7 +1097,7 @@ fn run_session(
                     reports: summary.total as u64,
                     shed: shed.load(Ordering::Relaxed),
                 };
-                send_frame(&stream, &frame);
+                send_frame(stream, &frame);
             }
             Ok(Cmd::End(reason)) => break reason,
         }
@@ -1200,35 +1178,32 @@ fn run_session(
             .map(|msg| format!("session worker panicked and was recovered from checkpoint: {msg}"))
     });
 
-    // Tell the client what happened (ignore write failures — for hangups
-    // and reaps the peer may already be gone).
+    // What the client is told once the record is in.
+    let mut replies = Vec::new();
     if let Some(msg) = &error {
-        send_frame(
-            &stream,
-            &ServerFrame::Error {
-                message: msg.clone(),
-            },
-        );
+        replies.push(ServerFrame::Error {
+            message: msg.clone(),
+        });
     }
     if outcome != SessionOutcome::Hangup {
-        send_frame(
-            &stream,
-            &ServerFrame::Summary {
-                shed: shed_total,
-                json: summary_json.clone(),
-            },
-        );
+        replies.push(ServerFrame::Summary {
+            shed: shed_total,
+            json: summary_json.clone(),
+        });
     }
 
-    WorkerExit::Ended(SessionRecord {
-        session: 0, // filled in by the reader thread from its id
-        outcome,
-        degraded,
-        events,
-        shed: shed_total,
-        summary_json,
-        error,
-    })
+    WorkerExit::Ended {
+        record: SessionRecord {
+            session: 0, // filled in by the reader thread from its id
+            outcome,
+            degraded,
+            events,
+            shed: shed_total,
+            summary_json,
+            error,
+        },
+        replies,
+    }
 }
 
 /// Supervised `Session::finish`: a panic during the final flush demotes the
@@ -1332,7 +1307,7 @@ fn apply_event(session: &mut Session, ev: &WireEvent) {
 
 fn send_frame(stream: &TcpStream, frame: &ServerFrame) {
     let mut w = stream;
-    let _ = write_frame(&mut w, &frame.encode());
+    let _ = write_frame_with(&mut w, &mut Vec::new(), |buf| frame.encode_into(buf));
 }
 
 fn bump_outcome(stats: &ServerStats, outcome: SessionOutcome) {

@@ -3,7 +3,14 @@
 //! panic, and valid frames must survive a round trip bit-for-bit.
 
 use dsm::addr::GlobalAddr;
-use dsm_service::frame::{read_frame, ClientFrame, ServerFrame, WireEvent};
+use std::io::Write;
+use std::net::{TcpListener, TcpStream};
+use std::time::Duration;
+
+use dsm_service::frame::{
+    read_frame, write_frame, ClientFrame, FrameReader, ServerFrame, WireError, WireEvent, MAX_FRAME,
+};
+use dsm_service::FrameError;
 use proptest::prelude::*;
 use race_core::{DsmOp, OpKind};
 
@@ -192,5 +199,81 @@ proptest! {
             ),
             Err(_) => {}
         }
+    }
+}
+
+/// Any client frame from five generator words: every event arm, the
+/// control frames, and hellos up to the maximal payload.
+fn frame_from_words(sel: u64, a: u64, b: u64, c: u64) -> ClientFrame {
+    match sel % 11 {
+        7 => ClientFrame::Ping,
+        8 => ClientFrame::Finish,
+        9 => ClientFrame::Hello {
+            config_json: "x".repeat((a % (MAX_FRAME as u64 - 1)) as usize),
+        },
+        10 => ClientFrame::Resume {
+            token: b,
+            last_acked_seq: c,
+        },
+        _ => ClientFrame::Event(event_from_words(sel, a, b, c)),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The server's bulk reader over a real socket: a random frame
+    /// sequence, written in random-sized chunks, decodes to the same frames
+    /// in the same order, then ends cleanly.
+    #[test]
+    fn bulk_reader_decodes_chunked_socket_streams(
+        raw in proptest::collection::vec(
+            (0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX),
+            1..24,
+        ),
+        chunks in proptest::collection::vec(1usize..3000, 1..16),
+    ) {
+        let frames: Vec<ClientFrame> = raw
+            .iter()
+            .map(|&(sel, a, b, c)| frame_from_words(sel, a, b, c))
+            .collect();
+        let mut bytes = Vec::new();
+        for f in &frames {
+            write_frame(&mut bytes, &f.encode()).unwrap();
+        }
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let writer = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream.set_nodelay(true).unwrap();
+            let mut rest = &bytes[..];
+            for &size in chunks.iter().cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (chunk, tail) = rest.split_at(size.min(rest.len()));
+                stream.write_all(chunk).unwrap();
+                rest = tail;
+            }
+        });
+        let (stream, _) = listener.accept().unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut reader = FrameReader::new(stream);
+        let mut got = Vec::new();
+        let end = loop {
+            match reader.next_frame() {
+                Ok(payload) => got.push(ClientFrame::decode(payload)),
+                Err(e) => break e,
+            }
+        };
+        writer.join().unwrap();
+        let want: Vec<_> = frames.into_iter().map(Ok).collect();
+        prop_assert_eq!(got, want);
+        prop_assert!(
+            matches!(end, WireError::Frame(FrameError::ConnectionClosed)),
+            "stream must end cleanly, got {:?}",
+            end
+        );
     }
 }

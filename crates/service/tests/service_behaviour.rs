@@ -574,3 +574,169 @@ impl ReportSink for HangupProbe {
         self.counts.lock().unwrap().push(self.inner.dropped());
     }
 }
+
+/// Under `Shed`, the reader hands events over in batches and a batch that
+/// finds the queue full is dropped whole. The accounting stays per event:
+/// every event sent is either applied or shed, exactly once.
+#[test]
+fn shed_batches_account_for_every_event_exactly() {
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServeConfig {
+            queue_capacity: 128,
+            slow_policy: SlowClientPolicy::Shed,
+            retry: race_core::RetryPolicy {
+                attempts: 2,
+                base_delay: Duration::from_micros(50),
+            },
+            sink_factory: Some(Arc::new(|| {
+                Box::new(SlowSink {
+                    inner: SummarySink::default(),
+                    delay: Duration::from_millis(1),
+                })
+            })),
+            ..quick_serve_config()
+        },
+    )
+    .unwrap();
+
+    let events = racing_events(256, 1); // every second op races => is slow
+    let mut client = ServiceClient::connect(server.local_addr(), &config()).unwrap();
+    for ev in &events {
+        client.send(ev).unwrap();
+    }
+    let remote = client.finish().unwrap();
+    assert!(
+        remote.shed > 0,
+        "a slow sink behind a small queue must shed"
+    );
+    assert!(remote.summary.degraded);
+
+    let report = server.shutdown();
+    let record = &report.sessions[0];
+    assert_eq!(
+        record.events + record.shed,
+        events.len() as u64,
+        "every event is applied or shed, exactly once"
+    );
+    assert_eq!(record.shed, remote.shed);
+    assert_eq!(report.stats.events_shed, remote.shed);
+}
+
+/// Puts from ranks 0 and 1 in turn to one word, unsynchronised: every op
+/// after the first races, so the report count identifies the event count.
+fn hammer_events(count: u64, base_op: u64) -> Vec<WireEvent> {
+    (0..count)
+        .map(|i| {
+            let actor = (i % 2) as usize;
+            WireEvent::Op(DsmOp {
+                op_id: base_op + i,
+                actor,
+                kind: OpKind::Put {
+                    src: GlobalAddr::private(actor, 0).range(8),
+                    dst: GlobalAddr::public(2, 0).range(8),
+                },
+            })
+        })
+        .collect()
+}
+
+/// A sink that logs its report count each time the session checkpoints
+/// it, and carries that count through a restore.
+#[derive(Debug)]
+struct CheckpointProbe {
+    reports: u64,
+    log: Arc<Mutex<Vec<u64>>>,
+}
+
+impl ReportSink for CheckpointProbe {
+    fn on_report(&mut self, _report: &RaceReport) {
+        self.reports += 1;
+    }
+
+    fn snapshot_state(&self) -> Option<Vec<u8>> {
+        self.log.lock().unwrap().push(self.reports);
+        Some(self.reports.to_le_bytes().to_vec())
+    }
+
+    fn restore_state(&mut self, state: &[u8]) -> bool {
+        match <[u8; 8]>::try_from(state) {
+            Ok(bytes) => {
+                self.reports = u64::from_le_bytes(bytes);
+                true
+            }
+            Err(_) => false,
+        }
+    }
+}
+
+/// A burst with no pings arrives in batches; a panic in the middle of one
+/// still recovers in place, applying the in-flight event exactly once, and
+/// checkpoints still fall on every `checkpoint_every`-th event, never once
+/// per batch.
+#[test]
+fn batched_burst_recovers_mid_batch_panic_and_checkpoints_per_event() {
+    const EVENTS: u64 = 1000;
+    const EVERY: u64 = 37;
+    let base_op = 1;
+    let log: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
+    let probe = {
+        let log = Arc::clone(&log);
+        move || -> Box<dyn ReportSink> {
+            Box::new(CheckpointProbe {
+                reports: 0,
+                log: Arc::clone(&log),
+            })
+        }
+    };
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServeConfig {
+            checkpoint_every: EVERY,
+            panic_on_op_id: Some(base_op + EVENTS / 2),
+            sink_factory: Some(Arc::new(probe.clone())),
+            ..quick_serve_config()
+        },
+    )
+    .unwrap();
+
+    let events = hammer_events(EVENTS, base_op);
+    let mut client = ServiceClient::connect(server.local_addr(), &config()).unwrap();
+    for ev in &events {
+        client.send(ev).unwrap();
+    }
+    let remote = client.finish().unwrap();
+    assert!(remote
+        .error
+        .as_deref()
+        .unwrap()
+        .contains("injected session panic"));
+    let mut twin = race_core::RaceSummary::from_json(&in_process_json(&events)).unwrap();
+    twin.degraded = true;
+    assert_eq!(remote.raw_json, twin.to_json());
+
+    // The in-process twin checkpoints at start and after every EVERY-th
+    // event; its log of report counts is strictly increasing, so equal
+    // logs mean equal checkpoint positions.
+    let served_log = std::mem::take(&mut *log.lock().unwrap());
+    let mut session = config().session_with(probe());
+    session.checkpoint().unwrap();
+    for (i, ev) in events.iter().enumerate() {
+        let WireEvent::Op(op) = ev else {
+            unreachable!("hammer events are ops")
+        };
+        session.observe(op, &[]);
+        if (i as u64 + 1).is_multiple_of(EVERY) {
+            session.checkpoint().unwrap();
+        }
+    }
+    let twin_log = std::mem::take(&mut *log.lock().unwrap());
+    assert_eq!(twin_log.len() as u64, 1 + EVENTS / EVERY);
+    assert!(twin_log.windows(2).all(|w| w[0] < w[1]), "{twin_log:?}");
+    assert_eq!(served_log, twin_log);
+
+    let report = server.shutdown();
+    assert_eq!(report.stats.panics_supervised, 1);
+    assert_eq!(report.sessions[0].events, EVENTS);
+    assert_eq!(report.sessions[0].outcome, SessionOutcome::Finished);
+}
