@@ -138,12 +138,14 @@ impl DsmOp {
     /// Public ranges this op touches on ranks other than the actor —
     /// the areas whose clocks live remotely (each costs clock messages
     /// when detection is enabled).
-    pub fn remote_public_ranges(&self) -> Vec<MemRange> {
+    ///
+    /// An iterator over the op's inline access list: nothing is allocated.
+    pub fn remote_public_ranges(&self) -> impl Iterator<Item = MemRange> {
+        let actor = self.actor;
         self.accesses()
             .into_iter()
             .map(|(_, r, _)| r)
-            .filter(|r| r.addr.segment == Segment::Public && r.addr.rank != self.actor)
-            .collect()
+            .filter(move |r| r.addr.segment == Segment::Public && r.addr.rank != actor)
     }
 }
 
@@ -265,7 +267,7 @@ mod tests {
         let src = GlobalAddr::private(0, 0).range(8);
         let dst = GlobalAddr::public(1, 0).range(8);
         let o = op(0, OpKind::Put { src, dst });
-        assert_eq!(o.remote_public_ranges(), vec![dst]);
+        assert_eq!(o.remote_public_ranges().collect::<Vec<_>>(), vec![dst]);
 
         // Local public destination: no remote clock traffic.
         let dst_local = GlobalAddr::public(0, 0).range(8);
@@ -276,7 +278,7 @@ mod tests {
                 dst: dst_local,
             },
         );
-        assert!(o.remote_public_ranges().is_empty());
+        assert_eq!(o.remote_public_ranges().count(), 0);
     }
 
     #[test]

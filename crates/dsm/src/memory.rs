@@ -78,11 +78,11 @@ impl ProcessMemory {
         Ok(())
     }
 
-    /// Read `range` on behalf of `accessor`.
-    pub fn read(&self, range: &MemRange, accessor: Rank) -> Result<Vec<u8>, DsmError> {
+    /// Read `range` on behalf of `accessor`, borrowing the bytes in place.
+    pub fn read(&self, range: &MemRange, accessor: Rank) -> Result<&[u8], DsmError> {
         self.check(range, accessor)?;
         let seg = self.segment(range.addr.segment);
-        Ok(seg[range.addr.offset..range.end()].to_vec())
+        Ok(&seg[range.addr.offset..range.end()])
     }
 
     /// Write `data` at `range.addr` on behalf of `accessor`.

@@ -108,23 +108,27 @@ pub enum DsmPayload {
         token: OpToken,
     },
     /// Detection traffic: the clocks come back (`n` components each).
+    ///
+    /// Detection logic is centralised in the detector, so the message
+    /// carries only the component counts that size it on the wire.
     ClockReadReply {
         /// Token of the request.
         token: OpToken,
-        /// The area's general-purpose clock `V`.
-        v: Vec<u64>,
-        /// The area's write clock `W`.
-        w: Vec<u64>,
+        /// Components of the area's general-purpose clock `V`.
+        v_components: usize,
+        /// Components of the area's write clock `W`.
+        w_components: usize,
     },
-    /// Detection traffic: merge `v`/`w` into the area's clocks
-    /// (Algorithm 5 `put_clock`, and `update_clock_W`).
+    /// Detection traffic: merge `V`/`W` components into the area's clocks
+    /// (Algorithm 5 `put_clock`, and `update_clock_W`). Sized by component
+    /// counts, like [`DsmPayload::ClockReadReply`].
     ClockWrite {
         /// Area whose clocks are updated.
         range: MemRange,
-        /// Components to merge into `V` (empty = skip).
-        v: Vec<u64>,
-        /// Components to merge into `W` (empty = skip).
-        w: Vec<u64>,
+        /// Components to merge into `V` (0 = skip).
+        v_components: usize,
+        /// Components to merge into `W` (0 = skip).
+        w_components: usize,
         /// Completion token (clock writes are acknowledged so the algorithm
         /// steps stay ordered under the lock).
         token: OpToken,
@@ -196,8 +200,16 @@ impl Classify for DsmPayload {
             DsmPayload::LockGrant { .. } => 2 * TOKEN,
             DsmPayload::LockRelease { .. } => TOKEN,
             DsmPayload::ClockReadRequest { .. } => RANGE + TOKEN,
-            DsmPayload::ClockReadReply { v, w, .. } => TOKEN + 8 * (v.len() + w.len()),
-            DsmPayload::ClockWrite { v, w, .. } => RANGE + TOKEN + 8 * (v.len() + w.len()),
+            DsmPayload::ClockReadReply {
+                v_components,
+                w_components,
+                ..
+            } => TOKEN + 8 * (v_components + w_components),
+            DsmPayload::ClockWrite {
+                v_components,
+                w_components,
+                ..
+            } => RANGE + TOKEN + 8 * (v_components + w_components),
             DsmPayload::ClockWriteAck { .. } => TOKEN,
             DsmPayload::AtomicRequest { .. } => RANGE + TOKEN + 24,
             DsmPayload::AtomicReply { .. } => 2 * TOKEN,
@@ -287,13 +299,13 @@ mod tests {
             },
             DsmPayload::ClockReadReply {
                 token: 0,
-                v: vec![0; 4],
-                w: vec![0; 4],
+                v_components: 4,
+                w_components: 4,
             },
             DsmPayload::ClockWrite {
                 range: range(),
-                v: vec![0; 4],
-                w: vec![],
+                v_components: 4,
+                w_components: 0,
                 token: 0,
             },
         ];
@@ -302,6 +314,7 @@ mod tests {
         }
         // Clock reply carries 2 × n × 8 bytes of clocks.
         assert_eq!(msgs[1].wire_bytes(), 8 + 8 * 8);
+        assert_eq!(msgs[2].wire_bytes(), 24 + 8 + 4 * 8);
     }
 
     #[test]

@@ -49,6 +49,12 @@ impl OpClass {
         OpClass::Other,
     ];
 
+    /// Position in [`OpClass::ALL`] (`ALL[c.index()] == c`), for
+    /// per-class counter arrays.
+    pub const fn index(self) -> usize {
+        self as usize
+    }
+
     /// Short label for tables.
     pub fn label(self) -> &'static str {
         match self {
@@ -137,6 +143,14 @@ mod tests {
         labels.sort_unstable();
         labels.dedup();
         assert_eq!(labels.len(), OpClass::ALL.len());
+    }
+
+    #[test]
+    fn index_is_position_in_all() {
+        for (i, c) in OpClass::ALL.into_iter().enumerate() {
+            assert_eq!(c.index(), i);
+            assert_eq!(OpClass::ALL[c.index()], c);
+        }
     }
 
     #[test]

@@ -5,8 +5,6 @@
 //! message, a get is two" is asserted directly against these counters, and
 //! §V-A's overhead table is `detection bytes / data bytes`.
 
-use std::collections::BTreeMap;
-
 use serde::{Deserialize, Serialize};
 
 use crate::message::OpClass;
@@ -14,10 +12,13 @@ use crate::message::OpClass;
 /// Per-class message/byte counters plus latency histogram.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct NetStats {
-    msgs: BTreeMap<String, u64>,
-    bytes: BTreeMap<String, u64>,
-    /// log2 latency histogram: bucket `i` counts deliveries with latency in
-    /// `[2^i, 2^(i+1))` ns; bucket 0 also holds 0-latency deliveries.
+    /// Messages per class, indexed by [`OpClass::index`].
+    msgs: [u64; OpClass::ALL.len()],
+    /// Bytes per class, indexed by [`OpClass::index`].
+    bytes: [u64; OpClass::ALL.len()],
+    /// log2 latency histogram: a latency `L` lands in bucket
+    /// `bit_length(L)`, so bucket 0 holds `L = 0` and bucket `i >= 1`
+    /// holds `[2^(i-1), 2^i)` ns.
     latency_buckets: Vec<u64>,
     total_msgs: u64,
     total_bytes: u64,
@@ -36,8 +37,8 @@ impl NetStats {
 
     /// Record a delivered message.
     pub fn record(&mut self, class: OpClass, bytes: usize, latency_ns: u64) {
-        *self.msgs.entry(class.label().to_string()).or_insert(0) += 1;
-        *self.bytes.entry(class.label().to_string()).or_insert(0) += bytes as u64;
+        self.msgs[class.index()] += 1;
+        self.bytes[class.index()] += bytes as u64;
         self.total_msgs += 1;
         self.total_bytes += bytes as u64;
         self.latency_sum_ns += u128::from(latency_ns);
@@ -50,12 +51,12 @@ impl NetStats {
 
     /// Messages delivered for `class`.
     pub fn msgs(&self, class: OpClass) -> u64 {
-        self.msgs.get(class.label()).copied().unwrap_or(0)
+        self.msgs[class.index()]
     }
 
     /// Bytes delivered for `class`.
     pub fn bytes(&self, class: OpClass) -> u64 {
-        self.bytes.get(class.label()).copied().unwrap_or(0)
+        self.bytes[class.index()]
     }
 
     /// All messages delivered.
@@ -165,11 +166,9 @@ impl NetStats {
     /// Merge another stats block into this one (used when aggregating
     /// multi-seed exploration runs).
     pub fn merge(&mut self, other: &NetStats) {
-        for (k, v) in &other.msgs {
-            *self.msgs.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, v) in &other.bytes {
-            *self.bytes.entry(k.clone()).or_insert(0) += v;
+        for c in OpClass::ALL {
+            self.msgs[c.index()] += other.msgs[c.index()];
+            self.bytes[c.index()] += other.bytes[c.index()];
         }
         if self.latency_buckets.len() < other.latency_buckets.len() {
             self.latency_buckets.resize(other.latency_buckets.len(), 0);
@@ -274,6 +273,45 @@ mod tests {
         assert!(h.contains(&(0, 1)));
         assert!(h.contains(&(1, 1)));
         assert!(h.contains(&(4, 2)));
+    }
+
+    #[test]
+    fn histogram_bucket_boundaries() {
+        // Bucket `bit_length(L)`: 0 alone, then [2^(i-1), 2^i).
+        let mut s = NetStats::new();
+        for latency in [0, 1, 2, 3, 4, 1023, 1024] {
+            s.record(OpClass::PutData, 1, latency);
+        }
+        assert_eq!(s.latency_buckets[..], [1, 1, 2, 1, 0, 0, 0, 0, 0, 0, 1, 1]);
+        assert_eq!(
+            s.latency_histogram(),
+            vec![(0, 1), (1, 1), (2, 2), (4, 1), (512, 1), (1024, 1)]
+        );
+    }
+
+    fn assert_class_sums(s: &NetStats) {
+        let msgs: u64 = OpClass::ALL.iter().map(|&c| s.msgs(c)).sum();
+        let bytes: u64 = OpClass::ALL.iter().map(|&c| s.bytes(c)).sum();
+        assert_eq!(msgs, s.total_msgs());
+        assert_eq!(bytes, s.total_bytes());
+    }
+
+    #[test]
+    fn per_class_counters_sum_to_totals() {
+        let mut a = NetStats::new();
+        for (i, c) in OpClass::ALL.into_iter().enumerate() {
+            for _ in 0..=i {
+                a.record(c, 10 * (i + 1), 100);
+            }
+        }
+        assert_class_sums(&a);
+        let mut b = NetStats::new();
+        b.record(OpClass::Clock, 48, 7);
+        b.record(OpClass::Other, 8, 7);
+        a.merge(&b);
+        assert_class_sums(&a);
+        assert_eq!(a.msgs(OpClass::Clock), 7);
+        assert_eq!(a.bytes(OpClass::Other), 8 * 80 + 8);
     }
 
     #[test]

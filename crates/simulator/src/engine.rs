@@ -19,14 +19,20 @@
 //!   `Detector::clock_components_per_area`.
 //!
 //! Detection logic itself is centralised in the detector (the simulator is
-//! omniscient); the wire messages carry correctly-sized dummy clock payloads
-//! so the traffic accounting (§V-A) is faithful while the logic stays in
-//! one place.
+//! omniscient); the wire messages carry clock component counts that size
+//! them, so the traffic accounting (§V-A) is faithful while the logic stays
+//! in one place.
+//!
+//! Plan bookkeeping allocates nothing in steady state: steps are `Copy`
+//! and read immediates from the instruction, a plan's step list is
+//! recycled from the rank's previous plan, and memory is read by slice
+//! into the message's `Bytes`, which with the detector's own state is all
+//! a data op still allocates.
 
 use std::collections::HashMap;
 
 use bytes::Bytes;
-use dsm::addr::{MemRange, Segment};
+use dsm::addr::{GlobalAddr, MemRange, Segment};
 use dsm::lockmgr::{LockOutcome, LockTable};
 use dsm::proto::{AtomicOp, DsmPayload, OpToken};
 use dsm::rdma::{DeferredPut, RdmaEngine};
@@ -85,7 +91,7 @@ impl InstrClass {
 }
 
 /// Steps of an in-flight operation plan.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum Step {
     /// Acquire a detection lock (skipped if a held program lock covers it).
     DetLock(MemRange),
@@ -97,10 +103,9 @@ enum Step {
     ClockFetch(MemRange),
     /// Push merged clocks to a remote area (detection traffic).
     ClockPush(MemRange),
-    /// Move the put's data.
+    /// Move the put's data: from `src`, or the instruction's immediate.
     PutData {
         src: Option<MemRange>,
-        imm: Option<Vec<u8>>,
         dst: MemRange,
     },
     /// Move the get's data.
@@ -111,11 +116,9 @@ enum Step {
         op: AtomicOp,
         fetch_into: Option<MemRange>,
     },
-    /// Local access (observe + apply).
-    LocalAccess {
-        range: MemRange,
-        write: Option<Vec<u8>>,
-    },
+    /// Local access (observe + apply); a write takes its bytes from the
+    /// instruction.
+    LocalAccess { range: MemRange, write: bool },
     /// Local compute.
     Compute(u64),
     /// Enter the barrier.
@@ -151,12 +154,26 @@ struct Proc {
     pc: usize,
     plan: Option<Plan>,
     prog_locks: Vec<HeldProgLock>,
+    /// The finished plan's step list, reused by the next plan.
+    spare_steps: Vec<Step>,
     /// Slot filled by a lock-grant handler just before waking the process.
     last_grant: Option<(Rank, u64)>,
     done: bool,
 }
 
 impl Proc {
+    /// The bytes the current instruction carries: a put's immediate or a
+    /// local write's value (empty for any other instruction).
+    fn instr_data(&self) -> &[u8] {
+        match self.program.get(self.pc) {
+            Some(Instr::Put {
+                src: Src::Imm(v), ..
+            })
+            | Some(Instr::LocalWrite { value: v, .. }) => v,
+            _ => &[],
+        }
+    }
+
     fn held_lock_ids(&self) -> Vec<LockId> {
         self.prog_locks
             .iter()
@@ -319,6 +336,7 @@ impl Engine {
                 pc: 0,
                 plan: None,
                 prog_locks: Vec::new(),
+                spare_steps: Vec::new(),
                 last_grant: None,
                 done: false,
             })
@@ -369,9 +387,10 @@ impl Engine {
         self.net.send(now, src, dst, payload);
     }
 
-    /// Dummy clock components sized for the wire (logic is centralised).
-    fn clock_payload(&self) -> Vec<u64> {
-        vec![0; self.session.clock_components_per_area() / 2]
+    /// Components of one area clock (`V` or `W`) on the wire; the clock
+    /// values themselves stay in the detector.
+    fn clock_components(&self) -> usize {
+        self.session.clock_components_per_area() / 2
     }
 
     /// Run to quiescence.
@@ -583,119 +602,76 @@ impl Engine {
 
     /// Build the plan for the next instruction of `rank`.
     fn build_plan(&mut self, rank: Rank) -> Option<Plan> {
-        let instr = self.procs[rank].program.get(self.procs[rank].pc)?.clone();
         let detection = self.session.requires_locking();
+        let proc = &mut self.procs[rank];
+        let instr = proc.program.get(proc.pc)?;
+        let mut steps = std::mem::take(&mut proc.spare_steps);
+        steps.clear();
         let op_id = self.next_op_id;
         self.next_op_id += 1;
+        let op = |kind| DsmOp {
+            op_id,
+            actor: rank,
+            kind,
+        };
 
-        let mut steps = Vec::new();
         let (op, class) = match instr {
             Instr::Put { src, dst } => {
-                let (src_range, imm) = match src {
-                    Src::Range(r) => (Some(r), None),
-                    Src::Imm(v) => (None, Some(v)),
+                let dst = *dst;
+                let src_range = match src {
+                    Src::Range(r) => Some(*r),
+                    Src::Imm(_) => None,
                 };
-                let kind = OpKind::Put {
-                    src: src_range.unwrap_or_else(|| dsm::GlobalAddr::private(rank, 0).range(0)),
-                    dst,
-                };
-                let op = DsmOp {
-                    op_id,
-                    actor: rank,
-                    kind,
-                };
-                if detection {
-                    for r in Self::lock_ranges(src_range, Some(dst)) {
-                        steps.push(Step::DetLock(r));
-                    }
-                    for r in op.remote_public_ranges() {
-                        steps.push(Step::ClockFetch(r));
-                    }
-                }
-                steps.push(Step::PutData {
-                    src: src_range,
-                    imm,
+                let op = op(OpKind::Put {
+                    src: src_range.unwrap_or_else(|| GlobalAddr::private(rank, 0).range(0)),
                     dst,
                 });
                 if detection {
-                    for r in op.remote_public_ranges() {
-                        steps.push(Step::ClockPush(r));
-                    }
+                    steps.extend(Self::lock_ranges(src_range, Some(dst)).map(Step::DetLock));
+                    steps.extend(op.remote_public_ranges().map(Step::ClockFetch));
+                }
+                steps.push(Step::PutData {
+                    src: src_range,
+                    dst,
+                });
+                if detection {
+                    steps.extend(op.remote_public_ranges().map(Step::ClockPush));
                     steps.push(Step::ReleaseDetLocks);
                 }
                 (Some(op), InstrClass::Put)
             }
-            Instr::Get { src, dst } => {
-                let op = DsmOp {
-                    op_id,
-                    actor: rank,
-                    kind: OpKind::Get { src, dst },
-                };
+            &Instr::Get { src, dst } => {
+                let op = op(OpKind::Get { src, dst });
                 if detection {
-                    for r in Self::lock_ranges(Some(src), Some(dst)) {
-                        steps.push(Step::DetLock(r));
-                    }
-                    for r in op.remote_public_ranges() {
-                        steps.push(Step::ClockFetch(r));
-                    }
+                    steps.extend(Self::lock_ranges(Some(src), Some(dst)).map(Step::DetLock));
+                    steps.extend(op.remote_public_ranges().map(Step::ClockFetch));
                 }
                 steps.push(Step::GetData { src, dst });
                 if detection {
-                    for r in op.remote_public_ranges() {
-                        steps.push(Step::ClockPush(r));
-                    }
+                    steps.extend(op.remote_public_ranges().map(Step::ClockPush));
                     steps.push(Step::ReleaseDetLocks);
                 }
                 (Some(op), InstrClass::Get)
             }
-            Instr::LocalRead { range } => {
-                let op = DsmOp {
-                    op_id,
-                    actor: rank,
-                    kind: OpKind::LocalRead { range },
-                };
-                if detection && range.addr.segment == Segment::Public {
-                    steps.push(Step::DetLock(range));
-                }
-                steps.push(Step::LocalAccess { range, write: None });
-                if detection && range.addr.segment == Segment::Public {
-                    steps.push(Step::ReleaseDetLocks);
-                }
+            &Instr::LocalRead { range } => {
+                let op = op(OpKind::LocalRead { range });
+                Self::local_steps(&mut steps, detection, range, false);
                 (Some(op), InstrClass::Local)
             }
-            Instr::LocalWrite { range, value } => {
-                let op = DsmOp {
-                    op_id,
-                    actor: rank,
-                    kind: OpKind::LocalWrite { range },
-                };
-                if detection && range.addr.segment == Segment::Public {
-                    steps.push(Step::DetLock(range));
-                }
-                steps.push(Step::LocalAccess {
-                    range,
-                    write: Some(value),
-                });
-                if detection && range.addr.segment == Segment::Public {
-                    steps.push(Step::ReleaseDetLocks);
-                }
+            &Instr::LocalWrite { range, .. } => {
+                let op = op(OpKind::LocalWrite { range });
+                Self::local_steps(&mut steps, detection, range, true);
                 (Some(op), InstrClass::Local)
             }
-            Instr::Atomic {
+            &Instr::Atomic {
                 target,
                 op: aop,
                 fetch_into,
             } => {
-                let op = DsmOp {
-                    op_id,
-                    actor: rank,
-                    kind: OpKind::AtomicRmw { range: target },
-                };
+                let op = op(OpKind::AtomicRmw { range: target });
                 if detection {
                     steps.push(Step::DetLock(target));
-                    for r in op.remote_public_ranges() {
-                        steps.push(Step::ClockFetch(r));
-                    }
+                    steps.extend(op.remote_public_ranges().map(Step::ClockFetch));
                 }
                 steps.push(Step::AtomicData {
                     target,
@@ -703,22 +679,20 @@ impl Engine {
                     fetch_into,
                 });
                 if detection {
-                    for r in op.remote_public_ranges() {
-                        steps.push(Step::ClockPush(r));
-                    }
+                    steps.extend(op.remote_public_ranges().map(Step::ClockPush));
                     steps.push(Step::ReleaseDetLocks);
                 }
                 (Some(op), InstrClass::Atomic)
             }
-            Instr::Compute { ns } => {
+            &Instr::Compute { ns } => {
                 steps.push(Step::Compute(ns));
                 (None, InstrClass::Local)
             }
-            Instr::Lock { range } => {
+            &Instr::Lock { range } => {
                 steps.push(Step::ProgLock(range));
                 (None, InstrClass::Lock)
             }
-            Instr::Unlock { range } => {
+            &Instr::Unlock { range } => {
                 steps.push(Step::ProgUnlock(range));
                 (None, InstrClass::Lock)
             }
@@ -738,29 +712,44 @@ impl Engine {
         })
     }
 
+    /// Steps of a local access; a public range is detection-locked.
+    fn local_steps(steps: &mut Vec<Step>, detection: bool, range: MemRange, write: bool) {
+        let locked = detection && range.addr.segment == Segment::Public;
+        if locked {
+            steps.push(Step::DetLock(range));
+        }
+        steps.push(Step::LocalAccess { range, write });
+        if locked {
+            steps.push(Step::ReleaseDetLocks);
+        }
+    }
+
     /// Public ranges an op must lock, canonical order, overlaps merged.
-    fn lock_ranges(a: Option<MemRange>, b: Option<MemRange>) -> Vec<MemRange> {
-        let mut v: Vec<MemRange> = [a, b]
-            .into_iter()
-            .flatten()
-            .filter(|r| r.addr.segment == Segment::Public && r.len > 0)
-            .collect();
-        v.sort_by_key(|r| r.canonical_key());
-        // Merge overlapping ranges (same rank) so a plan never queues
-        // behind its own lock.
-        let mut out: Vec<MemRange> = Vec::new();
-        for r in v {
-            if let Some(last) = out.last_mut() {
-                if last.overlaps(&r) {
-                    let start = last.addr.offset.min(r.addr.offset);
-                    let end = last.end().max(r.end());
-                    *last = dsm::GlobalAddr::public(last.addr.rank, start).range(end - start);
-                    continue;
+    fn lock_ranges(a: Option<MemRange>, b: Option<MemRange>) -> impl Iterator<Item = MemRange> {
+        let lockable = |r: &MemRange| r.addr.segment == Segment::Public && r.len > 0;
+        let ranges = match (a.filter(lockable), b.filter(lockable)) {
+            (Some(a), Some(b)) => {
+                let (first, second) = if b.canonical_key() < a.canonical_key() {
+                    (b, a)
+                } else {
+                    (a, b)
+                };
+                // Merge overlapping ranges (same rank) so a plan never
+                // queues behind its own lock.
+                if first.overlaps(&second) {
+                    let start = first.addr.offset.min(second.addr.offset);
+                    let end = first.end().max(second.end());
+                    [
+                        Some(GlobalAddr::public(first.addr.rank, start).range(end - start)),
+                        None,
+                    ]
+                } else {
+                    [Some(first), Some(second)]
                 }
             }
-            out.push(r);
-        }
-        out
+            (a, b) => [a.or(b), None],
+        };
+        ranges.into_iter().flatten()
     }
 
     /// Advance the process: execute its current step (building a plan from
@@ -780,26 +769,21 @@ impl Engine {
             }
         }
 
-        let idx = self.procs[rank].plan.as_ref().expect("plan").idx;
-        let step = match self.procs[rank].plan.as_ref().expect("plan").steps.get(idx) {
-            Some(s) => s.clone(),
-            None => {
-                // Every plan ends in Step::Finish, which consumes it, so a
-                // cursor past the end means a stray control message (a
-                // duplicate the guards above didn't recognise)
-                // over-advanced the plan. Signalled, never fatal: complete
-                // the instruction and move on rather than indexing out of
-                // bounds.
-                self.errors.push(format!(
-                    "P{rank}: plan over-advanced; completing instruction"
-                ));
-                let plan = self.procs[rank].plan.take().expect("plan");
-                self.op_latencies
-                    .push((plan.class, self.now.since(plan.started_at)));
-                self.procs[rank].pc += 1;
-                self.wake(rank, self.now);
-                return;
-            }
+        let step = self.procs[rank]
+            .plan
+            .as_ref()
+            .and_then(|plan| plan.steps.get(plan.idx).copied());
+        let Some(step) = step else {
+            // Every plan ends in Step::Finish, which consumes it, so a
+            // cursor past the end means a stray control message (a
+            // duplicate the guards above didn't recognise) over-advanced
+            // the plan. Signalled, never fatal: complete the instruction
+            // and move on rather than indexing out of bounds.
+            self.errors.push(format!(
+                "P{rank}: plan over-advanced; completing instruction"
+            ));
+            self.finish_plan(rank);
+            return;
         };
         match step {
             Step::DetLock(range) => {
@@ -923,32 +907,30 @@ impl Engine {
             Step::ClockPush(range) => {
                 let owner = range.addr.rank;
                 let t = self.token(TokenUse::Wake(rank));
-                let v = self.clock_payload();
-                let w = self.clock_payload();
+                let components = self.clock_components();
                 self.send(
                     rank,
                     owner,
                     DsmPayload::ClockWrite {
                         range,
-                        v,
-                        w,
+                        v_components: components,
+                        w_components: components,
                         token: t,
                     },
                 );
             }
-            Step::PutData { src, imm, dst } => {
+            Step::PutData { src, dst } => {
                 // Materialise the data on the source side.
-                let data: Vec<u8> = match (&src, &imm) {
-                    (Some(r), _) => match self.memories[rank].read(r, rank) {
-                        Ok(d) => d,
+                let data = match src {
+                    Some(r) => match self.memories[rank].read(&r, rank) {
+                        Ok(d) => Bytes::from(d),
                         Err(e) => {
                             self.errors.push(format!("P{rank}: put source: {e}"));
                             self.step_done(rank, 0);
                             return;
                         }
                     },
-                    (None, Some(v)) => v.clone(),
-                    (None, None) => Vec::new(),
+                    None => Bytes::from(self.procs[rank].instr_data()),
                 };
                 let op = self.procs[rank]
                     .plan
@@ -984,7 +966,7 @@ impl Engine {
                         owner,
                         DeferredPut {
                             dst,
-                            data: Bytes::from(data),
+                            data,
                             token: t,
                             initiator: rank,
                         },
@@ -995,7 +977,7 @@ impl Engine {
                         owner,
                         DsmPayload::PutData {
                             dst,
-                            data: Bytes::from(data),
+                            data,
                             token: t,
                         },
                     );
@@ -1065,32 +1047,20 @@ impl Engine {
                     .op
                     .expect("op");
                 let held = self.procs[rank].held_lock_ids();
-                match &write {
-                    Some(value) => {
-                        if let Err(e) = self.memories[rank].write(&range, value, rank) {
-                            self.errors.push(format!("P{rank}: local write: {e}"));
-                        } else {
-                            self.observe(&op, &held);
-                            self.trace.record_access(
-                                op.write_access_id(),
-                                rank,
-                                AccessKind::Write,
-                                range,
-                            );
-                        }
+                let (kind, id, label, applied) = if write {
+                    let value = self.procs[rank].instr_data();
+                    let applied = self.memories[rank].write(&range, value, rank);
+                    (AccessKind::Write, op.write_access_id(), "write", applied)
+                } else {
+                    let applied = self.memories[rank].read(&range, rank).map(|_| ());
+                    (AccessKind::Read, op.read_access_id(), "read", applied)
+                };
+                match applied {
+                    Ok(()) => {
+                        self.observe(&op, &held);
+                        self.trace.record_access(id, rank, kind, range);
                     }
-                    None => match self.memories[rank].read(&range, rank) {
-                        Ok(_) => {
-                            self.observe(&op, &held);
-                            self.trace.record_access(
-                                op.read_access_id(),
-                                rank,
-                                AccessKind::Read,
-                                range,
-                            );
-                        }
-                        Err(e) => self.errors.push(format!("P{rank}: local read: {e}")),
-                    },
+                    Err(e) => self.errors.push(format!("P{rank}: local {label}: {e}")),
                 }
                 self.step_done(rank, LOCAL_ACCESS_NS);
             }
@@ -1110,14 +1080,21 @@ impl Engine {
                 }
                 self.step_done(rank, 0);
             }
-            Step::Finish => {
-                let plan = self.procs[rank].plan.take().expect("plan");
-                let latency = self.now.since(plan.started_at);
-                self.op_latencies.push((plan.class, latency));
-                self.procs[rank].pc += 1;
-                self.wake(rank, self.now);
-            }
+            Step::Finish => self.finish_plan(rank),
         }
+    }
+
+    /// Complete the current instruction: record its latency, keep the step
+    /// list for the next plan, advance the pc.
+    fn finish_plan(&mut self, rank: Rank) {
+        let proc = &mut self.procs[rank];
+        if let Some(plan) = proc.plan.take() {
+            self.op_latencies
+                .push((plan.class, self.now.since(plan.started_at)));
+            proc.spare_steps = plan.steps;
+        }
+        proc.pc += 1;
+        self.wake(rank, self.now);
     }
 
     /// Mark the current step complete and wake the process after `cost` ns.
@@ -1233,22 +1210,15 @@ impl Engine {
         };
         let held = self.procs[actor].held_lock_ids();
         self.rdma[owner].begin_get(token, src);
-        match self.memories[owner].read(&src, actor) {
+        match self.memories[owner].read(&src, actor).map(Bytes::from) {
             Ok(data) => {
                 self.observe(&op, &held);
                 self.trace
                     .record_access(op.read_access_id(), actor, AccessKind::Read, src);
                 if local {
-                    self.finish_get(token, Bytes::from(data), self.now + LOCAL_ACCESS_NS);
+                    self.finish_get(token, data, self.now + LOCAL_ACCESS_NS);
                 } else {
-                    self.send(
-                        owner,
-                        actor,
-                        DsmPayload::GetReply {
-                            token,
-                            data: Bytes::from(data),
-                        },
-                    );
+                    self.send(owner, actor, DsmPayload::GetReply { token, data });
                 }
             }
             Err(e) => {
@@ -1432,11 +1402,17 @@ impl Engine {
                 Ok(grants) => self.dispatch_grants(dst, grants),
                 Err(e) => self.errors.push(format!("remote release: {e}")),
             },
-            DsmPayload::ClockReadRequest { range, token } => {
-                let v = self.clock_payload();
-                let w = self.clock_payload();
-                let _ = range;
-                self.send(dst, src, DsmPayload::ClockReadReply { token, v, w });
+            DsmPayload::ClockReadRequest { token, .. } => {
+                let components = self.clock_components();
+                self.send(
+                    dst,
+                    src,
+                    DsmPayload::ClockReadReply {
+                        token,
+                        v_components: components,
+                        w_components: components,
+                    },
+                );
             }
             DsmPayload::ClockReadReply { token, .. } => {
                 if let Some(TokenUse::Wake(rank)) = self.tokens.remove(&token) {
@@ -1530,7 +1506,7 @@ mod tests {
     fn lock_ranges_sorts_canonically() {
         let a = pub_range(1, 0, 8);
         let b = pub_range(0, 64, 8);
-        let v = Engine::lock_ranges(Some(a), Some(b));
+        let v: Vec<_> = Engine::lock_ranges(Some(a), Some(b)).collect();
         assert_eq!(v, vec![b, a], "rank 0 locked before rank 1");
     }
 
@@ -1540,7 +1516,7 @@ mod tests {
         // once, or it would queue behind its own lock.
         let a = pub_range(0, 0, 16);
         let b = pub_range(0, 8, 16);
-        let v = Engine::lock_ranges(Some(a), Some(b));
+        let v: Vec<_> = Engine::lock_ranges(Some(a), Some(b)).collect();
         assert_eq!(v.len(), 1);
         assert_eq!(v[0], pub_range(0, 0, 24));
     }
@@ -1550,14 +1526,17 @@ mod tests {
         let priv_r = GlobalAddr::private(0, 0).range(8);
         let empty = pub_range(0, 0, 0);
         let real = pub_range(1, 0, 8);
-        assert_eq!(Engine::lock_ranges(Some(priv_r), Some(real)), vec![real]);
-        assert!(Engine::lock_ranges(Some(empty), None).is_empty());
+        assert_eq!(
+            Engine::lock_ranges(Some(priv_r), Some(real)).collect::<Vec<_>>(),
+            vec![real]
+        );
+        assert_eq!(Engine::lock_ranges(Some(empty), None).count(), 0);
     }
 
     #[test]
     fn identical_ranges_lock_once() {
         let r = pub_range(0, 0, 8);
-        assert_eq!(Engine::lock_ranges(Some(r), Some(r)).len(), 1);
+        assert_eq!(Engine::lock_ranges(Some(r), Some(r)).count(), 1);
     }
 
     #[test]

@@ -9,10 +9,58 @@
 //! synchronisation, and including them would make every pair ordered and
 //! define races out of existence.
 
-use dsm::addr::MemRange;
+use std::collections::{BTreeMap, HashMap};
+
+use dsm::addr::{MemRange, Segment};
 use race_core::{AccessKind, LockId, Trace, TraceAccess};
 
 use crate::Rank;
+
+/// Every write recorded to one `(rank, segment)`, indexed by offset.
+///
+/// A read must absorb every prior write that overlaps it, in the order the
+/// writes were recorded. Writes are grouped by `(offset, len)`; each group
+/// lists `(record sequence, write access id)` in record order. A read of
+/// `[a, b)` visits only the groups starting in `[a - max_len + 1, b)`,
+/// the only starts an overlapping write of at most `max_len` bytes can
+/// have, instead of every write ever made to the rank.
+#[derive(Debug, Default)]
+struct WriteIndex {
+    groups: BTreeMap<(usize, usize), Vec<(u64, u64)>>,
+    /// Longest write recorded here (the lookup window).
+    max_len: usize,
+}
+
+impl WriteIndex {
+    fn insert(&mut self, range: MemRange, seq: u64, id: u64) {
+        self.max_len = self.max_len.max(range.len);
+        self.groups
+            .entry((range.addr.offset, range.len))
+            .or_default()
+            .push((seq, id));
+    }
+
+    /// Append `(seq, id)` of every write overlapping `range` to `out`.
+    fn overlapping(&self, range: MemRange, out: &mut Vec<(u64, u64)>) {
+        let lo = range
+            .addr
+            .offset
+            .saturating_sub(self.max_len.saturating_sub(1));
+        for (&(offset, len), writes) in self.groups.range((lo, 0)..(range.end(), 0)) {
+            if offset + len > range.addr.offset {
+                out.extend_from_slice(writes);
+            }
+        }
+    }
+}
+
+/// Position of `segment` in a rank's `[WriteIndex; 2]`.
+fn slot(segment: Segment) -> usize {
+    match segment {
+        Segment::Private => 0,
+        Segment::Public => 1,
+    }
+}
 
 /// Incremental trace builder used by the engine.
 #[derive(Debug)]
@@ -23,10 +71,14 @@ pub struct TraceBuilder {
     /// Edge sources waiting to attach to a process's next access.
     pending_edges: Vec<Vec<u64>>,
     /// Per lock id: last access of the most recent releaser.
-    lock_last: std::collections::HashMap<LockId, u64>,
-    /// Per rank: live write registry for data-flow edges
-    /// (range, write access id).
-    writes: Vec<Vec<(MemRange, u64)>>,
+    lock_last: HashMap<LockId, u64>,
+    /// Per rank, per segment (private, public): every write recorded so
+    /// far, overwritten ones included, for data-flow edges.
+    writes: Vec<[WriteIndex; 2]>,
+    /// Record sequence number of the next write.
+    next_write: u64,
+    /// Scratch for one read's overlapping writes (reused across reads).
+    hits: Vec<(u64, u64)>,
 }
 
 impl TraceBuilder {
@@ -36,8 +88,10 @@ impl TraceBuilder {
             trace: Trace::new(n),
             last_access: vec![None; n],
             pending_edges: vec![Vec::new(); n],
-            lock_last: std::collections::HashMap::new(),
-            writes: vec![Vec::new(); n],
+            lock_last: HashMap::new(),
+            writes: (0..n).map(|_| Default::default()).collect(),
+            next_write: 0,
+            hits: Vec::new(),
         }
     }
 
@@ -69,11 +123,16 @@ impl TraceBuilder {
             // read becomes causally dependent on overwritten writers too.
             // The oracle mirrors that so it measures the paper's
             // happens-before, not a value-precise one.
-            let owner = range.addr.rank;
-            for (wr, wid) in &self.writes[owner] {
-                if wr.overlaps(&range) {
-                    self.trace.push_absorb_edge(*wid, id);
+            if range.len > 0 {
+                self.writes[range.addr.rank][slot(range.addr.segment)]
+                    .overlapping(range, &mut self.hits);
+                // Groups are visited by offset; the edges go out in the
+                // order the writes were recorded.
+                self.hits.sort_unstable();
+                for &(_, wid) in &self.hits {
+                    self.trace.push_absorb_edge(wid, id);
                 }
+                self.hits.clear();
             }
         }
 
@@ -86,10 +145,13 @@ impl TraceBuilder {
         });
         self.last_access[process] = Some(id);
 
-        if kind == AccessKind::Write {
+        if kind == AccessKind::Write && range.len > 0 {
             // Keep every write (see the absorb-edge note above); bounded by
-            // the run length, which is fine at debugging scale.
-            self.writes[range.addr.rank].push((range, id));
+            // the run length, which is fine at debugging scale. A
+            // zero-length write overlaps nothing and is not indexed.
+            let seq = self.next_write;
+            self.next_write += 1;
+            self.writes[range.addr.rank][slot(range.addr.segment)].insert(range, seq, id);
         }
     }
 
@@ -212,11 +274,170 @@ mod tests {
     }
 
     #[test]
+    fn absorb_edges_follow_write_record_order() {
+        // Recorded out of offset order; the read visits the index by offset
+        // but must emit its edges in record order.
+        let at = |off, len| GlobalAddr::public(0, off).range(len);
+        let mut b = TraceBuilder::new(2);
+        b.record_access(1, 0, AccessKind::Write, at(8, 8));
+        b.record_access(3, 0, AccessKind::Write, at(0, 16));
+        b.record_access(5, 0, AccessKind::Write, at(4, 4));
+        b.record_access(7, 0, AccessKind::Write, at(16, 8)); // disjoint
+        b.record_access(9, 0, AccessKind::Write, at(0, 16));
+        b.record_access(11, 1, AccessKind::Read, at(6, 4));
+        assert_eq!(b.trace().absorb_edges, [(1, 11), (3, 11), (5, 11), (9, 11)]);
+    }
+
+    #[test]
     fn unlock_without_prior_access_is_harmless() {
         let mut b = TraceBuilder::new(2);
         b.on_unlock((0, 0), 0);
         b.on_lock_granted((0, 0), 1);
         b.record_access(1, 1, AccessKind::Write, w(0));
         assert_eq!(b.trace().edges.len(), 0);
+    }
+
+    /// The builder before indexing: every read scans every write ever
+    /// recorded to the owner rank. The differential reference.
+    struct FullScan {
+        trace: Trace,
+        last_access: Vec<Option<u64>>,
+        pending_edges: Vec<Vec<u64>>,
+        lock_last: HashMap<LockId, u64>,
+        writes: Vec<Vec<(MemRange, u64)>>,
+    }
+
+    impl FullScan {
+        fn new(n: usize) -> Self {
+            FullScan {
+                trace: Trace::new(n),
+                last_access: vec![None; n],
+                pending_edges: vec![Vec::new(); n],
+                lock_last: HashMap::new(),
+                writes: vec![Vec::new(); n],
+            }
+        }
+
+        fn record_access(&mut self, id: u64, process: Rank, kind: AccessKind, range: MemRange) {
+            for src in self.pending_edges[process].drain(..) {
+                self.trace.push_edge(src, id);
+            }
+            if kind == AccessKind::Read {
+                for (wr, wid) in &self.writes[range.addr.rank] {
+                    if wr.overlaps(&range) {
+                        self.trace.push_absorb_edge(*wid, id);
+                    }
+                }
+            }
+            self.trace.push_access(TraceAccess {
+                id,
+                process,
+                kind,
+                range,
+                atomic: false,
+            });
+            self.last_access[process] = Some(id);
+            if kind == AccessKind::Write {
+                self.writes[range.addr.rank].push((range, id));
+            }
+        }
+
+        fn on_unlock(&mut self, lock: LockId, process: Rank) {
+            if let Some(id) = self.last_access[process] {
+                self.lock_last.insert(lock, id);
+            }
+        }
+
+        fn on_lock_granted(&mut self, lock: LockId, process: Rank) {
+            if let Some(&src) = self.lock_last.get(&lock) {
+                self.pending_edges[process].push(src);
+            }
+        }
+
+        fn on_barrier_release(&mut self) {
+            let sources: Vec<u64> = self.last_access.iter().flatten().copied().collect();
+            for pending in &mut self.pending_edges {
+                pending.extend(sources.iter().copied());
+            }
+        }
+    }
+
+    const RANKS: usize = 3;
+
+    /// One builder call.
+    #[derive(Debug, Clone, Copy)]
+    enum Call {
+        Access(Rank, AccessKind, MemRange),
+        Unlock(LockId, Rank),
+        Granted(LockId, Rank),
+        Barrier,
+    }
+
+    /// Mostly accesses: unaligned offsets, lengths from 0 to three words,
+    /// both segments, every rank; locks and barriers interleaved.
+    fn arb_call() -> impl proptest::Strategy<Value = Call> {
+        use proptest::prelude::*;
+        (
+            (0u8..16, 0usize..RANKS, 0usize..RANKS),
+            (0u8..2, 0usize..96, 0usize..25, 0usize..2),
+        )
+            .prop_map(|((sel, process, rank), (seg, offset, len, lock))| {
+                let addr = match seg {
+                    0 => GlobalAddr::private(rank, offset),
+                    _ => GlobalAddr::public(rank, offset),
+                };
+                let lock_id = (rank, 8 * lock);
+                match sel {
+                    0..=6 => Call::Access(process, AccessKind::Read, addr.range(len)),
+                    7..=12 => Call::Access(process, AccessKind::Write, addr.range(len)),
+                    13 => Call::Unlock(lock_id, process),
+                    14 => Call::Granted(lock_id, process),
+                    _ => Call::Barrier,
+                }
+            })
+    }
+
+    fn events(t: &Trace) -> Vec<(u64, Rank, AccessKind, MemRange, bool)> {
+        t.events
+            .iter()
+            .map(|e| (e.id, e.process, e.kind, e.range, e.atomic))
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn indexed_builder_matches_full_scan(
+            calls in proptest::collection::vec(arb_call(), 0..200)
+        ) {
+            let mut indexed = TraceBuilder::new(RANKS);
+            let mut scan = FullScan::new(RANKS);
+            for (i, call) in calls.into_iter().enumerate() {
+                match call {
+                    Call::Access(process, kind, range) => {
+                        let id = 2 * i as u64 + u64::from(kind == AccessKind::Write);
+                        indexed.record_access(id, process, kind, range);
+                        scan.record_access(id, process, kind, range);
+                    }
+                    Call::Unlock(lock, process) => {
+                        indexed.on_unlock(lock, process);
+                        scan.on_unlock(lock, process);
+                    }
+                    Call::Granted(lock, process) => {
+                        indexed.on_lock_granted(lock, process);
+                        scan.on_lock_granted(lock, process);
+                    }
+                    Call::Barrier => {
+                        indexed.on_barrier_release();
+                        scan.on_barrier_release();
+                    }
+                }
+            }
+            let (got, want) = (indexed.finish(), scan.trace);
+            proptest::prop_assert_eq!(events(&got), events(&want));
+            proptest::prop_assert_eq!(got.edges, want.edges);
+            proptest::prop_assert_eq!(got.absorb_edges, want.absorb_edges);
+        }
     }
 }

@@ -5,7 +5,10 @@
 use dsm::GlobalAddr;
 use netsim::OpClass;
 use race_core::{DetectorKind, Oracle, RaceClass};
-use simulator::workloads::{figures, master_worker, random_access, reduction, ring, stencil};
+use simulator::workloads::{
+    figures, lock_contention, master_worker, producer_consumer, random_access, reduction, ring,
+    stencil, Workload,
+};
 use simulator::{Engine, Program, ProgramBuilder, SimConfig};
 
 fn run(cfg: SimConfig, programs: Vec<Program>) -> simulator::RunResult {
@@ -610,4 +613,129 @@ fn healthy_net_deadlocks_still_report_stuck() {
         .with_detector(DetectorKind::Vanilla);
     let r = Engine::new(cfg, programs).run();
     assert_eq!(r.stuck, vec![0, 1], "quiet plan must not mask the deadlock");
+}
+
+/// One pinned engine run: trace `[events, edges, absorb edges]`,
+/// `[reports, deduped]`, `[total msgs, total bytes]`, msgs and bytes per
+/// `OpClass::ALL` entry, and virtual time in ns.
+struct Golden {
+    workload: &'static str,
+    seed: u64,
+    kind: DetectorKind,
+    trace: [usize; 3],
+    reports: [usize; 2],
+    totals: [u64; 2],
+    msgs: [u64; 8],
+    bytes: [u64; 8],
+    virtual_ns: u64,
+}
+
+#[allow(clippy::too_many_arguments)]
+const fn golden(
+    workload: &'static str,
+    seed: u64,
+    kind: DetectorKind,
+    trace: [usize; 3],
+    reports: [usize; 2],
+    totals: [u64; 2],
+    msgs: [u64; 8],
+    bytes: [u64; 8],
+    virtual_ns: u64,
+) -> Golden {
+    Golden {
+        workload,
+        seed,
+        kind,
+        trace,
+        reports,
+        totals,
+        msgs,
+        bytes,
+        virtual_ns,
+    }
+}
+
+/// Captured from the full-scan trace builder and the string-keyed traffic
+/// counters, before the engine's per-op bookkeeping was made
+/// constant-time. The indexed builder and the array counters must
+/// reproduce every figure exactly.
+#[rustfmt::skip]
+const GOLDEN: &[Golden] = &[
+    golden("random", 1, DetectorKind::Dual, [317, 0, 318], [163, 163], [1174, 79600], [50, 86, 86, 408, 0, 544, 0, 0], [3600, 5504, 4128, 20672, 0, 45696, 0, 0], 801498),
+    golden("random", 1, DetectorKind::Vanilla, [317, 0, 320], [0, 0], [222, 13232], [50, 86, 86, 0, 0, 0, 0, 0], [3600, 5504, 4128, 0, 0, 0, 0, 0], 161301),
+    golden("random", 2, DetectorKind::Dual, [317, 0, 321], [151, 151], [1174, 79600], [50, 86, 86, 408, 0, 544, 0, 0], [3600, 5504, 4128, 20672, 0, 45696, 0, 0], 800640),
+    golden("random", 2, DetectorKind::Vanilla, [317, 0, 317], [0, 0], [222, 13232], [50, 86, 86, 0, 0, 0, 0, 0], [3600, 5504, 4128, 0, 0, 0, 0, 0], 171762),
+    golden("random_locked", 1, DetectorKind::Dual, [317, 180, 319], [0, 0], [1174, 79600], [50, 86, 86, 408, 0, 544, 0, 0], [3600, 5504, 4128, 20672, 0, 45696, 0, 0], 807336),
+    golden("random_locked", 1, DetectorKind::Vanilla, [317, 179, 323], [0, 0], [630, 33904], [50, 86, 86, 408, 0, 0, 0, 0], [3600, 5504, 4128, 20672, 0, 0, 0, 0], 395382),
+    golden("random_locked", 2, DetectorKind::Dual, [317, 180, 325], [0, 0], [1174, 79600], [50, 86, 86, 408, 0, 544, 0, 0], [3600, 5504, 4128, 20672, 0, 45696, 0, 0], 796024),
+    golden("random_locked", 2, DetectorKind::Vanilla, [317, 179, 322], [0, 0], [630, 33904], [50, 86, 86, 408, 0, 0, 0, 0], [3600, 5504, 4128, 20672, 0, 0, 0, 0], 386606),
+    golden("stencil", 1, DetectorKind::Dual, [200, 96, 60], [0, 0], [248, 15680], [24, 0, 0, 72, 0, 96, 56, 0], [1728, 0, 0, 3648, 0, 8064, 2240, 0], 145641),
+    golden("stencil", 1, DetectorKind::Vanilla, [200, 96, 60], [0, 0], [80, 3968], [24, 0, 0, 0, 0, 0, 56, 0], [1728, 0, 0, 0, 0, 0, 2240, 0], 49232),
+    golden("stencil", 2, DetectorKind::Dual, [200, 96, 60], [0, 0], [248, 15680], [24, 0, 0, 72, 0, 96, 56, 0], [1728, 0, 0, 3648, 0, 8064, 2240, 0], 149236),
+    golden("stencil", 2, DetectorKind::Vanilla, [200, 96, 60], [0, 0], [80, 3968], [24, 0, 0, 0, 0, 0, 56, 0], [1728, 0, 0, 0, 0, 0, 2240, 0], 52676),
+    golden("lock_contention", 1, DetectorKind::Dual, [144, 0, 533], [95, 95], [612, 41760], [36, 36, 36, 216, 0, 288, 0, 0], [2592, 2304, 1728, 10944, 0, 24192, 0, 0], 678568),
+    golden("lock_contention", 1, DetectorKind::Vanilla, [144, 0, 515], [0, 0], [108, 6624], [36, 36, 36, 0, 0, 0, 0, 0], [2592, 2304, 1728, 0, 0, 0, 0, 0], 70128),
+    golden("lock_contention", 2, DetectorKind::Dual, [144, 0, 528], [114, 114], [612, 41760], [36, 36, 36, 216, 0, 288, 0, 0], [2592, 2304, 1728, 10944, 0, 24192, 0, 0], 687927),
+    golden("lock_contention", 2, DetectorKind::Vanilla, [144, 0, 499], [0, 0], [108, 6624], [36, 36, 36, 0, 0, 0, 0, 0], [2592, 2304, 1728, 0, 0, 0, 0, 0], 73367),
+    golden("producer_consumer", 1, DetectorKind::Dual, [30, 0, 49], [4, 4], [90, 6000], [0, 10, 10, 30, 0, 40, 0, 0], [0, 640, 480, 1520, 0, 3360, 0, 0], 108822),
+    golden("producer_consumer", 1, DetectorKind::Vanilla, [30, 0, 49], [0, 0], [20, 1120], [0, 10, 10, 0, 0, 0, 0, 0], [0, 640, 480, 0, 0, 0, 0, 0], 31748),
+    golden("producer_consumer", 2, DetectorKind::Dual, [30, 0, 49], [4, 4], [90, 6000], [0, 10, 10, 30, 0, 40, 0, 0], [0, 640, 480, 1520, 0, 3360, 0, 0], 111313),
+    golden("producer_consumer", 2, DetectorKind::Vanilla, [30, 0, 49], [0, 0], [20, 1120], [0, 10, 10, 0, 0, 0, 0, 0], [0, 640, 480, 0, 0, 0, 0, 0], 30117),
+];
+
+fn golden_workload(name: &str) -> Workload {
+    let spec = random_access::RandomSpec {
+        n: 4,
+        ops_per_rank: 48,
+        hot_words: 12,
+        p_write: 0.4,
+        locked: false,
+        seed: 0x5EED,
+    };
+    match name {
+        "random" => random_access::generate(spec),
+        "random_locked" => random_access::generate(random_access::RandomSpec {
+            locked: true,
+            ..spec
+        }),
+        "stencil" => stencil::with_barrier(4, 32, 3),
+        "lock_contention" => lock_contention::racy(4, 6, 2),
+        "producer_consumer" => producer_consumer::racy(4, 5),
+        other => panic!("no golden workload {other}"),
+    }
+}
+
+#[test]
+fn engine_outputs_match_pinned_golden_runs() {
+    for g in GOLDEN {
+        let w = golden_workload(g.workload);
+        let cfg = SimConfig::debugging(w.n)
+            .with_seed(g.seed)
+            .with_detector(g.kind);
+        let r = run(cfg, w.programs);
+        let at = format!("{} seed {} {:?}", g.workload, g.seed, g.kind);
+        let t = &r.trace;
+        assert_eq!(
+            [t.events.len(), t.edges.len(), t.absorb_edges.len()],
+            g.trace,
+            "{at}: trace"
+        );
+        assert_eq!(
+            [r.reports.len(), r.deduped.len()],
+            g.reports,
+            "{at}: reports"
+        );
+        assert_eq!(
+            [r.stats.total_msgs(), r.stats.total_bytes()],
+            g.totals,
+            "{at}: totals"
+        );
+        assert_eq!(OpClass::ALL.map(|c| r.stats.msgs(c)), g.msgs, "{at}: msgs");
+        assert_eq!(
+            OpClass::ALL.map(|c| r.stats.bytes(c)),
+            g.bytes,
+            "{at}: bytes"
+        );
+        assert_eq!(r.virtual_time.as_ns(), g.virtual_ns, "{at}: virtual time");
+    }
 }
